@@ -53,7 +53,12 @@ def rng():
 
 @pytest.fixture
 def mixed_dataset(rng) -> Dataset:
-    """A small mixed dataset with one planted contrast on ``x``.
+    """A small mixed dataset with one planted contrast on ``x``."""
+    return make_mixed_dataset(rng)
+
+
+def make_mixed_dataset(rng) -> Dataset:
+    """The ``mixed_dataset`` fixture's data, built from ``rng``.
 
     Group "A" has x in [0, 0.5), group "B" in [0.5, 1); ``noise`` and
     ``color`` are group-independent.
