@@ -1,32 +1,19 @@
-"""Vectorized level-batch evaluation engine: end-to-end speed and parity.
+"""Batch evaluation engine: end-to-end speed with pinned patterns.
 
-Times the depth-3 Adult mining run (bitmap backend) with the batch
-driver (``batch_evaluation=True``, the default) against the scalar
-escape hatch (``batch_evaluation=False``), which preserves the
-per-candidate evaluation order of the pre-redesign driver.  Parity is
-asserted the strong way — the two runs must produce byte-identical
-pattern lists (same sha256 fingerprint) — so the speedup is measured
-between provably-equivalent computations.
+Times the depth-3 Adult mining run (bitmap backend) through the miner's
+one candidate lifecycle, the vectorized batch evaluator, and asserts
+that each scale's pattern fingerprint (sha256 of the serialised pattern
+list) equals the ``patterns_sha256`` committed in ``BENCH_batch.json``,
+so a timing is only ever reported for the committed output.
 
-Two honesty notes, so the committed numbers are read correctly:
-
-* the scalar escape hatch shares the rewritten vectorized chi-square
-  kernel and the restructured SDAD-CS explore loop with the batch
-  driver, so it is itself faster than the historical pre-redesign
-  driver; the batch-vs-scalar ratio here *understates* the end-to-end
-  gain over the commit preceding the redesign (measured out-of-band at
-  1.8x on this machine for scale 0.15);
-* the advantage is interpreter-bound: it is largest on small/medium
-  row counts where per-candidate Python overhead dominates, and
-  shrinks as O(n) counting grows to dominate both drivers equally.
-
-Results are committed as ``BENCH_batch.json`` at the repo root (see
-``bench_artifacts.py``).
+``BENCH_batch.json`` is read, never rewritten.  Its ``batch_seconds``
+are the baseline this bench compares against.  Its ``scalar_seconds`` and
+``speedup_vs_scalar`` are history: they timed a per-candidate scalar
+lifecycle the miner no longer has (DESIGN.md §12).
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_batch.py
 Under pytest the bench runs a reduced smoke check (fewer repeats, the
-small scale only); the committed artifact is refreshed only by
-standalone runs.
+small scale only).
 """
 
 from __future__ import annotations
@@ -34,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 from time import perf_counter
+
+from bench_artifacts import read_bench_artifact
 
 from repro import ContrastSetMiner, MinerConfig
 from repro.core.serialize import patterns_to_dicts
@@ -50,12 +39,12 @@ def _fingerprint(patterns) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _time_mode(dataset, batch: bool, repeats: int):
-    config = MinerConfig(
-        max_tree_depth=DEPTH,
-        counting_backend=BACKEND,
-        batch_evaluation=batch,
-    )
+def _scale_key(scale: float) -> str:
+    return "scale_" + str(scale).replace(".", "_")
+
+
+def _time_mining(dataset, repeats: int):
+    config = MinerConfig(max_tree_depth=DEPTH, counting_backend=BACKEND)
     result = ContrastSetMiner(config).mine(dataset)  # warm-up
     best = float("inf")
     for _ in range(repeats):
@@ -66,6 +55,7 @@ def _time_mode(dataset, batch: bool, repeats: int):
 
 
 def run_bench(scales=SCALES, repeats=REPEATS) -> dict:
+    committed = read_bench_artifact("batch")["results"]
     results: dict[str, object] = {
         "dataset": "adult",
         "depth": DEPTH,
@@ -74,41 +64,31 @@ def run_bench(scales=SCALES, repeats=REPEATS) -> dict:
     }
     for scale in scales:
         dataset = uci.adult(scale=scale)
-        batch_s, batch_result = _time_mode(dataset, True, repeats)
-        scalar_s, scalar_result = _time_mode(dataset, False, repeats)
-        fp = _fingerprint(batch_result.patterns)
-        assert fp == _fingerprint(scalar_result.patterns), (
-            "batch and scalar drivers diverged at scale %s" % scale
+        seconds, result = _time_mining(dataset, repeats)
+        key = _scale_key(scale)
+        fingerprint = _fingerprint(result.patterns)
+        assert fingerprint == committed[key]["patterns_sha256"], (
+            f"patterns drifted from BENCH_batch.json at scale {scale}"
         )
-        tag = str(scale).replace(".", "_")
-        results[f"scale_{tag}"] = {
+        results[key] = {
             "n_rows": dataset.n_rows,
-            "batch_seconds": round(batch_s, 4),
-            "scalar_seconds": round(scalar_s, 4),
-            "speedup_vs_scalar": round(scalar_s / batch_s, 3),
-            "n_patterns": len(batch_result.patterns),
-            "patterns_sha256": fp,
+            "batch_seconds": round(seconds, 4),
+            "committed_batch_seconds": committed[key]["batch_seconds"],
+            "n_patterns": len(result.patterns),
+            "patterns_sha256": fingerprint,
         }
     return results
 
 
-def test_batch_driver_faster_with_identical_patterns():
-    """Smoke: batch mode matches the scalar patterns and is not slower."""
+def test_batch_engine_reproduces_committed_patterns():
+    """Smoke: the committed fingerprint is reproduced (asserted inside
+    ``run_bench``) and a timing is recorded."""
     results = run_bench(scales=(0.15,), repeats=2)
-    entry = results["scale_0_15"]
-    # identical output is asserted inside run_bench; require the batch
-    # driver to at least hold its own (generous bound: timer noise on
-    # shared CI boxes)
-    assert entry["batch_seconds"] <= entry["scalar_seconds"] * 1.25
+    assert results["scale_0_15"]["batch_seconds"] > 0
 
 
 def main() -> None:
-    from bench_artifacts import write_bench_artifact
-
-    results = run_bench()
-    path = write_bench_artifact("batch", results)
-    print(f"wrote {path}")
-    for key, value in results.items():
+    for key, value in run_bench().items():
         print(f"{key}: {value}")
 
 

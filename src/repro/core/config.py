@@ -52,6 +52,12 @@ class MinerConfig:
         switches all five off.
     use_bonferroni:
         Whether to walk alpha down the Bonferroni ladder with search level.
+
+    How candidates are evaluated is not a knob: every search runs the one
+    batch lifecycle of :class:`repro.core.batch.BatchEvaluator` — all
+    candidates of one attribute combination, and all child spaces of one
+    SDAD-CS recursion frame, are counted and pruned as one
+    ``(N, n_groups)`` array program (DESIGN.md §12).
     """
 
     delta: float = 0.1
@@ -77,15 +83,6 @@ class MinerConfig:
     cache, so setting this with ``counting_backend="mask"`` is a
     configuration error (caches never change mined patterns, only
     speed)."""
-    batch_evaluation: bool = True
-    """Drive the search through the vectorized batch evaluation engine
-    (:class:`repro.core.batch.BatchEvaluator`): all candidates of one
-    (level, attribute-combination) — and all child spaces of one SDAD-CS
-    recursion frame — are counted and pruned as a single
-    ``(N, n_groups)`` array program.  Batch and scalar drivers produce
-    byte-identical patterns and prune accounting (DESIGN.md §12);
-    ``False`` is the escape hatch back to the per-candidate scalar
-    path."""
     merge: bool = True
     merge_alpha: float = 0.05
     min_expected_count: float = 5.0

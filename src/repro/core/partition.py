@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -162,17 +161,6 @@ class Space:
         self.counts = np.asarray(counts, dtype=np.int64)
         self._ranges = dict(ranges)
         self._volume: float | None = None
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Deprecated dense coverage mask (densifies the packed cover)."""
-        warnings.warn(
-            "Space.mask is deprecated; use Space.cover (packed per-chunk "
-            "bitset) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.cover.to_dense()
 
     @property
     def attributes(self) -> tuple[str, ...]:
@@ -414,8 +402,6 @@ def partition_median(
     space: Space,
     attribute: str,
     statistic: str = "median",
-    *,
-    fast: bool = False,
 ) -> tuple[Interval, Interval] | None:
     """Split one attribute's interval at the median (or mean) of the rows
     in ``space``.
@@ -424,11 +410,9 @@ def partition_median(
     values inside the space are identical — the "number of unique values far
     less than data points" caveat from Section 4.1).
 
-    ``fast=True`` (the batch evaluation engine) fetches the minimum,
-    maximum, and both middle order statistics from a single introselect
-    pass instead of three separate reductions; an even-length median is
-    the mean of the two partitioned middles either way, so the split
-    point is bit-identical.
+    The median comes with the minimum and maximum from a single
+    introselect pass; an even-length median is the mean of the two
+    partitioned middles, bit-identical to ``np.median``.
 
     Large multi-chunk spaces (more than :data:`MEDIAN_GATHER_BUDGET`
     covered rows) use a streaming exact-selection pass instead of
@@ -451,7 +435,7 @@ def partition_median(
     values = _gather_space_values(dataset, space.cover, attribute)
     if values.size == 0:
         return None
-    if fast and statistic == "median":
+    if statistic == "median":
         n = values.size
         mid = n >> 1
         part = np.partition(values, sorted({0, max(mid - 1, 0), mid, n - 1}))
@@ -463,22 +447,14 @@ def partition_median(
             median = float(part[mid])
         else:
             median = float((part[mid - 1] + part[mid]) / 2.0)
-        if median >= vmax:
-            distinct = np.unique(values)
-            median = float(distinct[-2])
-        left = Interval(interval.lo, median, interval.lo_closed, True)
-        right = Interval(median, interval.hi, False, interval.hi_closed)
-        return left, right
-    vmin = float(values.min())
-    vmax = float(values.max())
-    if vmin == vmax:
-        return None
-    if statistic == "mean":
+    elif statistic == "mean":
+        vmin = float(values.min())
+        vmax = float(values.max())
+        if vmin == vmax:
+            return None
         # the mean of a non-constant sample is strictly inside
         # (vmin, vmax), so no tie fallback is ever needed
         median = float(values.mean())
-    elif statistic == "median":
-        median = float(np.median(values))
     else:
         raise ValueError("statistic must be 'median' or 'mean'")
     if median >= vmax:
@@ -500,8 +476,6 @@ def find_combinations(
     space: Space,
     splits: Mapping[str, tuple[Interval, Interval]],
     backend=None,
-    *,
-    batch_counts: bool = False,
 ) -> list[Space]:
     """All combinations of the per-attribute halves (``find_combs``).
 
@@ -517,11 +491,8 @@ def find_combinations(
     column is touched exactly once, and no dense full-length mask is
     ever built.  Child covers and counts are bit-identical to the
     historical dense path (``packbits(a & b) == packbits(a) &
-    packbits(b)`` under zero padding).
-
-    ``batch_counts=True`` (the batch evaluation engine, DESIGN.md §12)
-    only changes the instrumentation: the children are additionally
-    tallied as one batch invocation.
+    packbits(b)`` under zero padding).  With a ``backend``, the children
+    are also tallied as one batch invocation in its instrumentation.
     """
     choices: list[tuple[str, tuple[Interval, ...]]] = []
     for name in space.attributes:
@@ -558,7 +529,7 @@ def find_combinations(
                     )
             child_segments[child].append(bits)
 
-    if batch_counts and backend is not None:
+    if backend is not None:
         backend.batch_calls += 1
         backend.batched_candidates += len(combos)
 

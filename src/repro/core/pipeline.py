@@ -36,14 +36,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from scipy import stats as _scipy_stats
 
 from .config import MinerConfig
-from .contrast import ContrastPattern, evaluate_itemset
+from .contrast import ContrastPattern
 from .instrumentation import MiningStats
 from .items import CategoricalItem, Itemset, NumericItem
 from .optimistic import chi_square_estimate, chi_square_estimate_batch
@@ -52,7 +52,6 @@ from .pruning import (
     PruneReason,
     PruneTable,
     expected_count_prunes,
-    is_pure_space,
     minimum_deviation_prunes,
     redundant_against_subset,
     redundant_against_subset_batch,
@@ -72,7 +71,6 @@ __all__ = [
     "RuleStats",
     "CandidateOutcome",
     "default_rules",
-    "process_categorical_candidate",
     "format_prune_report",
 ]
 
@@ -601,7 +599,7 @@ class OptimisticChiSquareRule(PruneRule):
 
     Applies to categorical itemset candidates only: the SDAD-CS recursion
     over numeric spaces is gated by the Eq. 6-11 support-difference
-    estimate instead (see ``_SDADRun._optimistic_allows``).
+    estimate instead (see ``_SDADRun._optimistic_allows_many``).
     """
 
     name = "optimistic"
@@ -988,7 +986,7 @@ class PruningPipeline:
 
 
 # ----------------------------------------------------------------------
-# The shared categorical candidate lifecycle
+# Categorical candidate outcomes
 # ----------------------------------------------------------------------
 
 
@@ -1002,66 +1000,6 @@ class CandidateOutcome:
     is_pure: bool
     """True when the candidate is a pure (PR = 1) contrast that must be
     registered in the pure-region registry (pure-space pruning)."""
-
-
-def process_categorical_candidate(
-    itemset: Itemset,
-    dataset,
-    pipeline: PruningPipeline,
-    *,
-    alpha: float,
-    level: int,
-    subset_patterns: Mapping[Itemset, ContrastPattern],
-    known_pure: Sequence[Itemset],
-    backend=None,
-    threshold: float = 0.0,
-) -> CandidateOutcome | None:
-    """One categorical candidate through the full lifecycle.
-
-    Lookup-table probe, pure-space precheck, support counting, then the
-    evaluated rule chain.  Returns ``None`` when the candidate was pruned
-    (the pipeline has already recorded why); otherwise the evaluated
-    pattern plus its contrast/purity verdicts, which the caller folds
-    into its own viable/top-k/pure bookkeeping.  Both the serial
-    :class:`~repro.core.search.SearchEngine` and the parallel worker loop
-    call this, which is what keeps them byte-identical.
-    """
-    config = pipeline.config
-    if pipeline.seen(itemset):
-        return None
-    ctx = EvaluationContext(
-        key=itemset,
-        config=config,
-        alpha=alpha,
-        level=level,
-        itemset=itemset,
-        known_pure=known_pure,
-        threshold=threshold,
-    )
-    if pipeline.precheck(ctx).pruned:
-        return None
-    pipeline.stats.partitions_evaluated += 1
-    pattern = evaluate_itemset(itemset, dataset, level, backend=backend)
-    ctx.attach_pattern(pattern)
-
-    def subsets() -> list[ContrastPattern]:
-        found = []
-        for attribute in itemset.attributes:
-            subset = subset_patterns.get(itemset.without_attribute(attribute))
-            if subset is not None:
-                found.append(subset)
-        return found
-
-    ctx._subsets_factory = subsets
-    if pipeline.evaluate(ctx, skip_pattern_free=True).pruned:
-        return None
-    is_contrast = pattern.is_contrast(config.delta, alpha)
-    is_pure = bool(
-        config.prune_pure_space
-        and is_contrast
-        and is_pure_space(pattern.counts)
-    )
-    return CandidateOutcome(itemset, pattern, is_contrast, is_pure)
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -85,6 +85,10 @@ _QUARANTINE_DIR = "quarantine"
 _META = "meta.json"
 _PATTERNS = "patterns.jsonl"
 _TMP_PREFIX = ".tmp-"
+#: ``MinerConfig`` fields removed since runs were first stored.
+#: ``batch_evaluation`` (every 1.5.0 run carries ``true``) chose between
+#: two candidate lifecycles with identical results; only one remains.
+_RETIRED_CONFIG_KEYS = ("batch_evaluation",)
 
 
 class StoreError(RuntimeError):
@@ -156,11 +160,23 @@ class StoredRun:
     library_version: str
 
     def miner_config(self) -> "MinerConfig":
-        """Rebuild the :class:`MinerConfig` the run was mined under."""
+        """Rebuild the :class:`MinerConfig` the run was mined under.
+
+        Keys of retired config fields are dropped (they no longer change
+        what is mined); any other unknown key raises :class:`StoreError`.
+        """
         from ..core.config import MinerConfig
         from ..resilience.policy import ResiliencePolicy
 
         payload = dict(self.config)
+        for key in _RETIRED_CONFIG_KEYS:
+            payload.pop(key, None)
+        unknown = sorted(set(payload) - {f.name for f in fields(MinerConfig)})
+        if unknown:
+            raise StoreError(
+                f"run {self.run_id} was mined with config fields this "
+                f"version does not know: {', '.join(unknown)}"
+            )
         resilience = payload.pop("resilience", None)
         if resilience is not None:
             payload["resilience"] = ResiliencePolicy(**resilience)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import Attribute, Dataset, MinerConfig, Schema
+from repro.core.batch import BatchEvaluator
 from repro.core.contrast import ContrastPattern
 from repro.core.instrumentation import MiningStats
 from repro.core.items import CategoricalItem, Itemset
@@ -14,9 +15,9 @@ from repro.core.pipeline import (
     PruningPipeline,
     default_rules,
     format_prune_report,
-    process_categorical_candidate,
 )
 from repro.core.pruning import PruneReason, PruneTable
+from repro.counting import MaskBackend
 
 
 def make_pattern(counts, group_sizes=(100, 100), attrs=("a",)):
@@ -257,6 +258,9 @@ class TestPruneTableMerge:
 
 
 class TestProcessCategoricalCandidate:
+    """One categorical candidate through
+    :meth:`BatchEvaluator.process_categorical_combo`."""
+
     @pytest.fixture(scope="class")
     def dataset(self):
         rng = np.random.default_rng(7)
@@ -277,18 +281,26 @@ class TestProcessCategoricalCandidate:
             schema, {"c": c, "d": d}, group, ["g0", "g1"]
         )
 
+    @staticmethod
+    def process(dataset, pipeline, itemset, *, level=1, known_pure=()):
+        """One candidate through the batch lifecycle, as a batch of one."""
+        backend = MaskBackend(dataset)
+        outcomes = BatchEvaluator(
+            dataset, pipeline, backend
+        ).process_categorical_combo(
+            [itemset],
+            alpha=0.05,
+            level=level,
+            subset_patterns={},
+            known_pure=known_pure,
+        )
+        assert len(outcomes) <= 1
+        return (outcomes[0] if outcomes else None), backend
+
     def test_survivor_outcome(self, dataset):
         pipeline = PruningPipeline(MinerConfig())
         itemset = Itemset([CategoricalItem("c", "u")])
-        outcome = process_categorical_candidate(
-            itemset,
-            dataset,
-            pipeline,
-            alpha=0.05,
-            level=1,
-            subset_patterns={},
-            known_pure=(),
-        )
+        outcome, _ = self.process(dataset, pipeline, itemset)
         assert outcome is not None
         assert outcome.itemset == itemset
         assert outcome.is_contrast
@@ -298,18 +310,11 @@ class TestProcessCategoricalCandidate:
         pipeline = PruningPipeline(MinerConfig())
         itemset = Itemset([CategoricalItem("c", "u")])
         pipeline.prune_table.add(itemset, PruneReason.REDUNDANT)
-        outcome = process_categorical_candidate(
-            itemset,
-            dataset,
-            pipeline,
-            alpha=0.05,
-            level=1,
-            subset_patterns={},
-            known_pure=(),
-        )
+        outcome, backend = self.process(dataset, pipeline, itemset)
         assert outcome is None
         assert pipeline.stats.partitions_evaluated == 0
         assert pipeline.stats.spaces_pruned == 1
+        assert backend.count_calls == 0
 
     def test_pure_precheck_skips_counting(self, dataset):
         pipeline = PruningPipeline(MinerConfig())
@@ -317,18 +322,13 @@ class TestProcessCategoricalCandidate:
             [CategoricalItem("c", "u"), CategoricalItem("d", "p")]
         )
         pure = Itemset([CategoricalItem("c", "u")])
-        outcome = process_categorical_candidate(
-            candidate,
-            dataset,
-            pipeline,
-            alpha=0.05,
-            level=2,
-            subset_patterns={},
-            known_pure=(pure,),
+        outcome, backend = self.process(
+            dataset, pipeline, candidate, level=2, known_pure=(pure,)
         )
         assert outcome is None
         # pruned before counting: no partition was evaluated
         assert pipeline.stats.partitions_evaluated == 0
+        assert backend.count_calls == 0
         assert (
             pipeline.prune_table.reason_for(candidate)
             is PruneReason.PURE_SPACE

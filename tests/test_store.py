@@ -115,6 +115,29 @@ class TestOpen:
             PatternStore(store.root, create=False)
 
 
+class TestStoredConfig:
+    """Runs stored by older versions keep rebuilding their config."""
+
+    def _with_config_key(self, store, result, key, value):
+        run_id = store.put(result)
+        meta = store.root / "runs" / run_id / "meta.json"
+        payload = json.loads(meta.read_text())
+        payload["config"][key] = value
+        meta.write_text(json.dumps(payload))
+        return store.get(run_id)
+
+    def test_retired_batch_evaluation_key_is_dropped(self, store, result):
+        # every run stored by 1.5.0 carries "batch_evaluation": true
+        run = self._with_config_key(store, result, "batch_evaluation", True)
+        assert run.config["batch_evaluation"] is True
+        assert run.miner_config() == result.config
+
+    def test_unknown_config_key_raises_store_error(self, store, result):
+        run = self._with_config_key(store, result, "warp_factor", 9)
+        with pytest.raises(StoreError, match="warp_factor"):
+            run.miner_config()
+
+
 class TestCorruption:
     """Fuzz the on-disk files; every mutation must be detected."""
 
