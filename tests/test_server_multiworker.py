@@ -128,8 +128,13 @@ class TestMultiWorkerPool:
         swaps = []
 
         def writer():
-            while not stop_writer.wait(0.15):
+            # Publish before the first wait: the clients can finish
+            # inside one 0.15 s interval, and the hammer must overlap at
+            # least one swap.
+            while True:
                 swaps.append(store.put(result, tags=("swap",)))
+                if stop_writer.wait(0.15):
+                    break
 
         def client(slot):
             for i in range(self.REQUESTS_PER_THREAD):
