@@ -98,6 +98,13 @@ class BatchEvaluator:
             measures.get_batch(measure) if measure is not None else None
         )
         self._ranges: dict[str, object] = {}
+        self.root_splits: dict[tuple, object] = {}
+        """Root-space halves by ``(categorical itemset, attribute,
+        split_statistic)``, ``None`` for an unsplittable root.  Every
+        SDAD-CS run with one context starts from the same root — the
+        context's cover and each attribute's full range from
+        :meth:`range_of` — so its root split is the same; the runs fill
+        and read this through ``_SDADRun._split_space``."""
 
     def range_of(self, attribute: str):
         """Cached :class:`~repro.core.partition.AttributeRange`.

@@ -256,26 +256,42 @@ def full_space(
 def _iter_space_values(
     dataset: Dataset, cover: Cover, attribute: str
 ) -> Iterator[np.ndarray]:
-    """Yield each chunk's finite in-cover values of ``attribute``."""
+    """Yield each chunk's finite in-cover values of ``attribute``.
+
+    ``np.compress`` takes the same elements in the same order as boolean
+    indexing, several times faster; the NaN filter only copies when the
+    chunk actually holds a NaN.
+    """
     for i, values in enumerate(_iter_chunk_columns(dataset, attribute)):
-        inside = values[cover.dense_segment(i)]
-        yield inside[~np.isnan(inside)]
+        inside = np.compress(cover.dense_segment(i), values)
+        nan = np.isnan(inside)
+        yield np.compress(~nan, inside) if nan.any() else inside
 
 
 def _gather_space_values(
     dataset: Dataset, cover: Cover, attribute: str
 ) -> np.ndarray:
-    """All finite in-cover values, in row order.
+    """All finite in-cover values, in row order, as a fresh array.
 
-    Gathering chunk by chunk and concatenating yields element-wise
-    exactly ``column[dense_mask]`` (chunks partition the rows in order),
-    so every statistic computed on this array is bit-identical to the
-    historical dense path.
+    Gathering chunk by chunk yields element-wise exactly
+    ``column[dense_mask]`` (chunks partition the rows in order), so
+    every statistic computed on this array is bit-identical to the
+    historical dense path.  Each chunk compresses straight into its
+    slot of one buffer, so no per-chunk parts and no concatenated copy
+    are ever live at once.
     """
-    parts = list(_iter_space_values(dataset, cover, attribute))
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+    out = np.empty(cover.count(), dtype=np.float64)
+    n = 0
+    for i, values in enumerate(_iter_chunk_columns(dataset, attribute)):
+        mask = cover.dense_segment(i)
+        part = out[n : n + int(np.count_nonzero(mask))]
+        np.compress(mask, values, out=part)
+        nan = np.isnan(part)
+        if nan.any():
+            part = np.compress(~nan, part)
+            out[n : n + part.size] = part
+        n += part.size
+    return out[:n]
 
 
 def _weighted_median(medians: list[float], weights: list[int]) -> float:
@@ -354,7 +370,10 @@ def _streaming_median_split(
     median is their IEEE-double mean — the same ``(a + b) / 2.0``
     ``np.median`` computes — and the heavy-ties fallback (split point at
     or above the maximum) returns the largest distinct value below the
-    maximum, exactly ``np.unique(values)[-2]``.
+    maximum, exactly ``np.unique(values)[-2]``.  Like the gather path it
+    returns ``median + 0.0``, so a space holding both ``-0.0`` and
+    ``0.0`` always splits at ``+0.0``, whatever order selection met
+    them in.
     """
     n = 0
     vmin = math.inf
@@ -394,7 +413,51 @@ def _streaming_median_split(
             if below.size:
                 best = max(best, float(below.max()))
         median = best
-    return median
+    return median + 0.0
+
+
+def _gathered_split(
+    dataset: Dataset, cover: Cover, attribute: str, statistic: str
+) -> float | None:
+    """Split point from one gather of the finite in-cover values.
+
+    The selection kernel is ``min``/``max``, one introselect at the
+    upper middle ``mid = n // 2``, and — for an even count — the lower
+    middle as the maximum of the partitioned lower part (every element
+    left of ``mid`` is ≤ it, so that maximum is order statistic
+    ``mid - 1``).  An even-length median is the IEEE-double mean
+    ``(a + b) / 2.0`` of the two middles, bit-identical to ``np.median``.
+    """
+    values = _gather_space_values(dataset, cover, attribute)
+    if values.size == 0:
+        return None
+    if statistic not in ("median", "mean"):
+        raise ValueError("statistic must be 'median' or 'mean'")
+    vmin = values.min()
+    vmax = values.max()
+    if vmin == vmax:
+        return None
+    if statistic == "median":
+        n = values.size
+        mid = n >> 1
+        values.partition(mid)  # the gather is ours to reorder
+        if n & 1:
+            median = float(values[mid])
+        else:
+            median = float((values[:mid].max() + values[mid]) / 2.0)
+    else:
+        # the mean of a non-constant sample is strictly inside
+        # (vmin, vmax), so no tie fallback is ever needed
+        median = float(values.mean())
+    if median >= vmax:
+        # Heavy ties at the top (the paper's "unique values far less than
+        # data points" caveat): fall back to the largest distinct value
+        # below the maximum so the right half stays non-empty.  Ties at
+        # the bottom need no special case — a degenerate left interval
+        # [min, min] is a legitimate half (e.g. the zero spike of a
+        # zero-inflated frequency column).
+        median = float(values[values < vmax].max())
+    return median + 0.0
 
 
 def partition_median(
@@ -410,15 +473,15 @@ def partition_median(
     values inside the space are identical — the "number of unique values far
     less than data points" caveat from Section 4.1).
 
-    The median comes with the minimum and maximum from a single
-    introselect pass; an even-length median is the mean of the two
-    partitioned middles, bit-identical to ``np.median``.
-
-    Large multi-chunk spaces (more than :data:`MEDIAN_GATHER_BUDGET`
-    covered rows) use a streaming exact-selection pass instead of
-    gathering the in-space values — the split point is the same to the
+    Spaces up to :data:`MEDIAN_GATHER_BUDGET` covered rows (and every
+    single-chunk space) gather their values once and select with
+    :func:`_gathered_split`.  Larger multi-chunk spaces use a streaming
+    exact-selection pass instead — the split point is the same to the
     bit (see :func:`_streaming_median_split`); ``statistic="mean"``
     always gathers because float summation is not order-insensitive.
+    Either way the split point is ``median + 0.0``: ``-0.0`` and ``0.0``
+    compare equal, so which of them a selection lands on is an accident
+    of element order, and the sum pins it to ``+0.0``.
     """
     interval = space.intervals[attribute]
     if (
@@ -427,45 +490,10 @@ def partition_median(
         and space.total_count > MEDIAN_GATHER_BUDGET
     ):
         median = _streaming_median_split(dataset, space.cover, attribute)
-        if median is None:
-            return None
-        left = Interval(interval.lo, median, interval.lo_closed, True)
-        right = Interval(median, interval.hi, False, interval.hi_closed)
-        return left, right
-    values = _gather_space_values(dataset, space.cover, attribute)
-    if values.size == 0:
-        return None
-    if statistic == "median":
-        n = values.size
-        mid = n >> 1
-        part = np.partition(values, sorted({0, max(mid - 1, 0), mid, n - 1}))
-        vmin = float(part[0])
-        vmax = float(part[-1])
-        if vmin == vmax:
-            return None
-        if n & 1:
-            median = float(part[mid])
-        else:
-            median = float((part[mid - 1] + part[mid]) / 2.0)
-    elif statistic == "mean":
-        vmin = float(values.min())
-        vmax = float(values.max())
-        if vmin == vmax:
-            return None
-        # the mean of a non-constant sample is strictly inside
-        # (vmin, vmax), so no tie fallback is ever needed
-        median = float(values.mean())
     else:
-        raise ValueError("statistic must be 'median' or 'mean'")
-    if median >= vmax:
-        # Heavy ties at the top (the paper's "unique values far less than
-        # data points" caveat): fall back to the largest distinct value
-        # below the maximum so the right half stays non-empty.  Ties at
-        # the bottom need no special case — a degenerate left interval
-        # [min, min] is a legitimate half (e.g. the zero spike of a
-        # zero-inflated frequency column).
-        distinct = np.unique(values)
-        median = float(distinct[-2])
+        median = _gathered_split(dataset, space.cover, attribute, statistic)
+    if median is None:
+        return None
     left = Interval(interval.lo, median, interval.lo_closed, True)
     right = Interval(median, interval.hi, False, interval.hi_closed)
     return left, right
@@ -481,9 +509,21 @@ def find_combinations(
 
     Attributes without a split keep their current interval.  With ``k``
     split attributes this yields ``2^k`` child spaces; their covers
-    partition the parent's cover.  ``backend`` optionally routes the
-    per-space group counting through a
+    partition the parent's non-NaN rows.  ``backend`` optionally
+    routes the per-space group counting through a
     :class:`repro.counting.CountingBackend`.
+
+    Each split must be a pair of halves as :func:`partition_median`
+    makes them: ``left`` ends at the cut point closed, ``right`` starts
+    there open, and together they span the parent's interval.  Contract:
+    a space's cover holds only rows whose value on each of its
+    attributes lies in the space's interval or is NaN.  The root keeps
+    it (its interval is the attribute's full observed range), and each
+    child keeps it because its cover is the parent's ANDed with one
+    half.  Under that contract ``parent & (column <= cut)`` equals
+    ``parent & left.cover(column)`` — and likewise ``column > cut`` for
+    the right half, with NaN failing both compares — so one compare per
+    half builds the same child covers as two-sided interval tests.
 
     The chunk-outer loop computes each half's coverage once per chunk,
     packs it, and ANDs packed words against the parent segment — every
@@ -497,7 +537,21 @@ def find_combinations(
     choices: list[tuple[str, tuple[Interval, ...]]] = []
     for name in space.attributes:
         if name in splits:
-            choices.append((name, splits[name]))
+            left, right = splits[name]
+            parent = space.intervals[name]
+            if not (
+                left.hi == right.lo
+                and left.hi_closed
+                and not right.lo_closed
+                and (left.lo, left.lo_closed)
+                == (parent.lo, parent.lo_closed)
+                and (right.hi, right.hi_closed)
+                == (parent.hi, parent.hi_closed)
+            ):
+                raise ValueError(
+                    f"split of {name!r} is not a median cut of {parent}"
+                )
+            choices.append((name, (left, right)))
         else:
             choices.append((name, (space.intervals[name],)))
 
@@ -515,9 +569,10 @@ def find_combinations(
         halves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for (name, options), columns in zip(split_axes, column_iters):
             column = next(columns)
+            cut = options[0].hi
             halves[name] = (
-                np.packbits(options[0].cover(column)),
-                np.packbits(options[1].cover(column)),
+                np.packbits(column <= cut),
+                np.packbits(column > cut),
             )
         for child, combo in enumerate(combos):
             bits = parent_bits

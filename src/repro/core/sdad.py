@@ -98,7 +98,7 @@ class _SDADRun:
         self.measure = measures.get(config.interest_measure)
         # Vectorized per-frame driver (DESIGN.md §12).  The outer search
         # passes one long-lived evaluator so its dataset-level caches
-        # (attribute ranges) span all runs.
+        # (attribute ranges, root splits) span all runs.
         if evaluator is None:
             evaluator = BatchEvaluator(
                 dataset, pipeline, self.backend, config.interest_measure
@@ -106,7 +106,7 @@ class _SDADRun:
         self.batch = evaluator
         self.result = SDADResult()
         self.pattern_level = base_level + len(self.continuous)
-        self.root_intervals: dict[str, object] = {}
+        self.root: Space | None = None
         self.all_contrasts: list[Space] = []
 
     # -- helpers ---------------------------------------------------------
@@ -130,7 +130,7 @@ class _SDADRun:
         itemset = self.categorical
         strip = not self.config.report_all_spaces
         for item in space.numeric_items():
-            root = self.root_intervals.get(item.attribute)
+            root = self.root.intervals.get(item.attribute)
             if strip and root is not None and item.interval == root:
                 continue
             itemset = itemset.with_item(item)
@@ -144,12 +144,25 @@ class _SDADRun:
         )
 
     def _split_space(self, space: Space) -> list[Space]:
-        """``partition`` + ``find_combs`` (Algorithm 1 lines 4-5)."""
+        """``partition`` + ``find_combs`` (Algorithm 1 lines 4-5).
+
+        The root's halves come from the evaluator's
+        :attr:`~repro.core.batch.BatchEvaluator.root_splits` when an
+        earlier run with the same context already split that attribute.
+        """
+        statistic = self.config.split_statistic
+        cache = self.batch.root_splits if space is self.root else None
         splits = {}
         for name in self.continuous:
-            halves = partition_median(
-                self.dataset, space, name, self.config.split_statistic
-            )
+            key = (self.categorical, name, statistic)
+            if cache is not None and key in cache:
+                halves = cache[key]
+            else:
+                halves = partition_median(
+                    self.dataset, space, name, statistic
+                )
+                if cache is not None:
+                    cache[key] = halves
             if halves is not None:
                 splits[name] = halves
         if not splits:
@@ -179,7 +192,7 @@ class _SDADRun:
         )
         if root.total_count == 0:
             return self.result
-        self.root_intervals = dict(root.intervals)
+        self.root = root
         self.db_size = root.total_count
         found = self._explore(root, level=1, parent_measure=0.0)
         if self.config.merge and found:
@@ -490,8 +503,9 @@ def sdad_cs(
         defaults to a fresh mask backend.
     evaluator:
         Optional shared :class:`~repro.core.batch.BatchEvaluator` (built
-        around the same pipeline and backend) so dataset-level caches
-        survive across runs; a fresh one is built otherwise.
+        around the same pipeline and backend) so dataset-level caches —
+        attribute ranges and the root split of each context — survive
+        across runs; a fresh one is built otherwise.
 
     Returns
     -------

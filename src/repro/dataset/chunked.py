@@ -527,12 +527,18 @@ class ChunkedDataset:
             ) from None
 
     def _mmap_file(self, meta: ChunkMeta, name: str) -> np.ndarray:
+        # A str path and os.stat keep the open cheap: np.memmap calls
+        # Path.resolve() on a pathlib argument, which walks the path.
+        # The map is opened afresh on every call and never kept, so no
+        # file pages stay mapped once the caller drops it.
         codec = self.codecs[name]
-        path = self.path / CHUNKS_DIR / meta.chunk_id / f"{name}.bin"
+        path = os.path.join(
+            self.path, CHUNKS_DIR, meta.chunk_id, name + ".bin"
+        )
         dtype = np.dtype(codec)
         expected = meta.n_rows * dtype.itemsize
         try:
-            actual = path.stat().st_size
+            actual = os.stat(path).st_size
         except OSError:
             raise ChunkedDatasetError(f"missing chunk file {path}") from None
         if actual != expected:

@@ -45,6 +45,7 @@ see :mod:`repro.serve.workers`.
 from __future__ import annotations
 
 import json
+import signal
 import socket
 import threading
 from collections import OrderedDict
@@ -241,6 +242,16 @@ class _PatternHTTPServer(ThreadingHTTPServer):
                 socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
             )
         super().server_bind()
+
+
+class _Terminated(Exception):
+    """Raised on the main thread by SIGTERM inside ``serve_forever``."""
+
+
+def _raise_terminated(signum, frame) -> None:
+    # Ignore repeats so a second SIGTERM cannot interrupt the shutdown.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise _Terminated
 
 
 class PatternServer:
@@ -761,17 +772,33 @@ class PatternServer:
         return self._httpd.server_address[0], self._httpd.server_address[1]
 
     def serve_forever(self) -> None:
-        """Blocking variant of :meth:`start` (the CLI's ``repro serve``)."""
-        self.start()
+        """Blocking variant of :meth:`start` (the CLI's ``repro serve``).
+
+        Returns after Ctrl-C or, when called on the main thread, SIGTERM;
+        either way it unwinds through :meth:`stop`, so the worker
+        processes exit and the port closes before the caller resumes.
+        Without the SIGTERM handler the default action would kill this
+        process before ``stop()`` and orphan its workers.  The previous
+        handler is restored on return.
+        """
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main:
+            previous = signal.signal(signal.SIGTERM, _raise_terminated)
         try:
+            self.start()
             if self._pool is not None:
                 self._pool.join()
             else:
                 self._thread.join()
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
+        except (KeyboardInterrupt, _Terminated):
             pass
         finally:
             self.stop()
+            if on_main:
+                signal.signal(
+                    signal.SIGTERM,
+                    signal.SIG_DFL if previous is None else previous,
+                )
 
     def stop(self) -> None:
         if self._pool is not None:

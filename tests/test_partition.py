@@ -287,7 +287,8 @@ class _FakeChunkedColumn:
 
 
 def _dense_median_expectation(values):
-    """The gather path's split point (None when unsplittable)."""
+    """The split point from ``np.median`` (None when unsplittable),
+    with the sign of zero pinned to ``+0.0`` as the splitter does."""
     finite = values[~np.isnan(values)]
     if finite.size == 0:
         return None
@@ -297,53 +298,60 @@ def _dense_median_expectation(values):
     median = float(np.median(finite))
     if median >= vmax:
         median = float(np.unique(finite)[-2])
-    return median
+    return median + 0.0
+
+
+def _bits(value):
+    """Bytes of a float64, so ``-0.0`` and ``0.0`` differ."""
+    return None if value is None else np.float64(value).tobytes()
+
+
+#: Values heavy in ties and in both signed zeros, with some NaNs.
+_TIE_HEAVY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]),
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.just(float("nan")),
+)
+
+#: Chunked value lists with a matching cover mask.
+_CHUNKED_SAMPLES = st.lists(
+    st.lists(_TIE_HEAVY_VALUES, min_size=0, max_size=40),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _draw_cover(chunks, data):
+    from repro.core.cover import Cover
+
+    sizes = tuple(len(c) for c in chunks)
+    all_values = np.concatenate(
+        [np.asarray(c, dtype=np.float64) for c in chunks]
+    )
+    mask = np.array(
+        data.draw(
+            st.lists(
+                st.booleans(),
+                min_size=all_values.size,
+                max_size=all_values.size,
+            )
+        ),
+        dtype=bool,
+    )
+    return all_values, mask, Cover.from_dense(mask, sizes)
 
 
 class TestStreamingMedian:
     """The streaming selector reproduces np.median to the bit, with the
     gather fallback forced off via tiny budgets."""
 
-    @given(
-        st.lists(
-            st.lists(
-                st.one_of(
-                    st.integers(min_value=-50, max_value=50).map(float),
-                    st.floats(
-                        min_value=-1e6,
-                        max_value=1e6,
-                        allow_nan=False,
-                    ),
-                    st.just(float("nan")),
-                ),
-                min_size=0,
-                max_size=40,
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        st.data(),
-    )
+    @given(_CHUNKED_SAMPLES, st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_np_median_bitwise(self, chunks, data):
         from repro.core import partition as part
-        from repro.core.cover import Cover
 
-        sizes = tuple(len(c) for c in chunks)
-        all_values = np.concatenate(
-            [np.asarray(c, dtype=np.float64) for c in chunks]
-        ) if chunks else np.zeros(0)
-        mask = np.array(
-            data.draw(
-                st.lists(
-                    st.booleans(),
-                    min_size=all_values.size,
-                    max_size=all_values.size,
-                )
-            ),
-            dtype=bool,
-        )
-        cover = Cover.from_dense(mask, sizes)
+        all_values, mask, cover = _draw_cover(chunks, data)
         fake = _FakeChunkedColumn(chunks)
         # Force the pivot loop to actually narrow: the gather fallback
         # only fires once the window is tiny.
@@ -354,10 +362,53 @@ class TestStreamingMedian:
         finally:
             part._STREAM_GATHER_FALLBACK = old
         expected = _dense_median_expectation(all_values[mask])
-        if expected is None:
-            assert got is None
-        else:
-            assert got == expected  # bit-identical, not approx
+        assert _bits(got) == _bits(expected)  # bit-identical, sign too
+
+    @given(_CHUNKED_SAMPLES, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_gather_path_matches_np_median_bitwise(self, chunks, data):
+        """The gather path gives the same bytes as ``np.median`` — the
+        sign of a zero split point included."""
+        from repro.core import partition as part
+
+        all_values, mask, cover = _draw_cover(chunks, data)
+        fake = _FakeChunkedColumn(chunks)
+        got = part._gathered_split(fake, cover, "x", "median")
+        expected = _dense_median_expectation(all_values[mask])
+        assert _bits(got) == _bits(expected)
+
+    @pytest.mark.parametrize(
+        "path", ["gather", "stream", "stream-narrowed"]
+    )
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            [[-0.0, -0.0, 1.0]],
+            [[-0.0], [-0.0, 1.0, -0.0, 2.0]],
+            [[-1.0, -0.0, 0.0, 1.0]],
+            [[-0.0, 0.0], [0.0, -0.0, 3.0]],
+            [[-2.0, -0.0], [-0.0, -0.0, 1.0]],
+        ],
+    )
+    def test_signed_zero_split_is_positive_zero(self, path, chunks):
+        """A zero split point is always ``+0.0``, on both paths."""
+        from repro.core import partition as part
+        from repro.core.cover import Cover
+
+        fake = _FakeChunkedColumn(chunks)
+        cover = Cover.full(tuple(len(c) for c in chunks))
+        if path == "gather":
+            got = part._gathered_split(fake, cover, "x", "median")
+        elif path == "stream":  # one window gather + introselect
+            got = part._streaming_median_split(fake, cover, "x")
+        else:  # pivot narrowing all the way down
+            old = part._STREAM_GATHER_FALLBACK
+            part._STREAM_GATHER_FALLBACK = 1
+            try:
+                got = part._streaming_median_split(fake, cover, "x")
+            finally:
+                part._STREAM_GATHER_FALLBACK = old
+        assert _bits(got) == _bits(0.0)
 
     def test_partition_median_streams_large_spaces(self, monkeypatch):
         """Above the gather budget, partition_median takes the streaming
@@ -389,4 +440,134 @@ class TestStreamingMedian:
         assert space.total_count > part.MEDIAN_GATHER_BUDGET
         halves = partition_median(fake, space, "x")
         assert halves is not None
-        assert halves[0].hi == float(np.median(values))
+        assert _bits(halves[0].hi) == _bits(float(np.median(values)))
+
+
+def _four_kth_split(values):
+    """The removed selection kernel, kept as a reference: one
+    ``np.partition`` with kth at the minimum, both middles and the
+    maximum, and ``np.unique`` for heavy ties at the top."""
+    n = values.size
+    if n == 0:
+        return None
+    mid = n >> 1
+    part = np.partition(values, sorted({0, max(mid - 1, 0), mid, n - 1}))
+    vmin = float(part[0])
+    vmax = float(part[-1])
+    if vmin == vmax:
+        return None
+    if n & 1:
+        median = float(part[mid])
+    else:
+        median = float((part[mid - 1] + part[mid]) / 2.0)
+    if median >= vmax:
+        median = float(np.unique(values)[-2])
+    return median
+
+
+def _kernel_split(values):
+    """The split point ``partition_median`` picks on a dense column."""
+    values = np.asarray(values, dtype=np.float64)
+    schema = Schema.of([Attribute.continuous("x")])
+    groups = np.zeros(values.size, dtype=np.int64)
+    ds = Dataset(schema, {"x": values}, groups, ["A"])
+    root = full_space(ds, ("x",), np.ones(values.size, dtype=bool))
+    halves = partition_median(ds, root, "x")
+    return None if halves is None else halves[0].hi
+
+
+class TestSelectionKernel:
+    """The one-kth kernel against the removed four-kth kernel: the same
+    split bytes, up to the sign of zero."""
+
+    INF = float("inf")
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [5.0],
+            [2.0, 1.0],
+            [3.0, 1.0, 2.0],
+            [4.0, 1.0, 3.0, 2.0],
+            [9.0, 1.0, 7.0, 3.0, 5.0],
+            [1.0, 2.0, 2.0, 2.0, 2.0, 3.0],
+            [4.0, 2.0, 2.0, 3.0, 3.0, 1.0],
+            [2.0, 2.0, 1.0, 3.0, 3.0],
+            [1.0, 5.0, 5.0, 5.0],
+            [0.0, 1.0, 2.0, 9.0, 9.0, 9.0, 9.0, 9.0],
+            [9.0, 9.0, 9.0, 8.0],
+            [-INF, 0.0, 1.0, INF],
+            [1.0, INF, INF, INF],
+            [-INF, -INF, -INF, 3.0],
+            [-INF, 2.0, INF],
+            [-0.0, 0.0, 1.0],
+            [0.0, -0.0, -1.0, 1.0],
+            [-0.0, -0.0, 0.0, 0.0, 0.0],
+        ],
+    )
+    def test_matches_four_kth_reference(self, values):
+        reference = _four_kth_split(np.asarray(values, dtype=np.float64))
+        expected = None if reference is None else reference + 0.0
+        assert _bits(_kernel_split(values)) == _bits(expected)
+
+    @given(st.lists(_TIE_HEAVY_VALUES.filter(lambda v: v == v),
+                    min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_four_kth_reference_property(self, values):
+        reference = _four_kth_split(np.asarray(values, dtype=np.float64))
+        expected = None if reference is None else reference + 0.0
+        assert _bits(_kernel_split(values)) == _bits(expected)
+
+
+@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+def test_one_compare_halves_equal_interval_covers(
+    mixed_dataset, backend, monkeypatch
+):
+    """During a real depth-3 recursion, ``column <= cut`` and ``column >
+    cut`` ANDed with the parent cover equal the two-sided
+    ``Interval.cover`` halves ANDed with the parent, and so do the
+    children ``find_combinations`` builds from them."""
+    from repro.core import sdad as sdad_module
+    from repro.core.config import MinerConfig
+    from repro.core.miner import ContrastSetMiner
+
+    real = sdad_module.find_combinations
+    checked = []
+
+    def checking(dataset, space, splits, backend=None):
+        parent = space.cover.to_dense()
+        for name, (left, right) in splits.items():
+            column = dataset.column(name)
+            cut = left.hi
+            assert np.array_equal(
+                parent & (column <= cut), parent & left.cover(column)
+            )
+            assert np.array_equal(
+                parent & (column > cut), parent & right.cover(column)
+            )
+        children = real(dataset, space, splits, backend)
+        for child in children:
+            expected = parent.copy()
+            for name in splits:
+                expected &= child.intervals[name].cover(
+                    dataset.column(name)
+                )
+            assert np.array_equal(child.cover.to_dense(), expected)
+        checked.append(len(splits))
+        return children
+
+    monkeypatch.setattr(sdad_module, "find_combinations", checking)
+    result = ContrastSetMiner(
+        MinerConfig(max_tree_depth=3, counting_backend=backend)
+    ).mine(mixed_dataset)
+    assert result.patterns
+    assert len(checked) > 10 and max(checked) == 2
+
+
+def test_find_combinations_rejects_a_split_that_is_not_a_median_cut():
+    ds = _dataset()
+    root = _root(ds, ("x",))
+    lo, hi = root.intervals["x"].lo, root.intervals["x"].hi
+    bad = (Interval(lo, 0.4, True, True), Interval(0.6, hi, False, True))
+    with pytest.raises(ValueError, match="median cut"):
+        find_combinations(ds, root, {"x": bad})

@@ -299,3 +299,61 @@ class TestKnownPure:
             with_pure.partitions_evaluated
             <= without_pure.partitions_evaluated
         )
+
+
+class TestRootSplitReuse:
+    def test_second_run_with_same_context_reuses_root_halves(
+        self, rng, monkeypatch
+    ):
+        """Runs sharing a context start from the same root, so a second
+        run on a shared evaluator takes its root halves from the cache:
+        one ``partition_median`` call fewer, the same result."""
+        from repro.core import sdad as sdad_module
+        from repro.core.batch import BatchEvaluator
+        from repro.core.pipeline import PruningPipeline
+        from repro.counting.mask import MaskBackend
+
+        from .conftest import make_mixed_dataset
+
+        ds = make_mixed_dataset(rng)
+        config = MinerConfig()
+        context = Itemset([CategoricalItem("color", "red")])
+        real = sdad_module.partition_median
+        calls = []
+
+        def counted(dataset, space, attribute, statistic="median"):
+            calls.append(attribute)
+            return real(dataset, space, attribute, statistic)
+
+        monkeypatch.setattr(sdad_module, "partition_median", counted)
+
+        def second_run(shared: bool):
+            pipeline = PruningPipeline(config, stats=MiningStats())
+            backend = MaskBackend(ds)
+            first = BatchEvaluator(
+                ds, pipeline, backend, config.interest_measure
+            )
+            sdad_cs(ds, context, ["x"], config, pipeline=pipeline,
+                    backend=backend, evaluator=first)
+            second = first if shared else BatchEvaluator(
+                ds, pipeline, backend, config.interest_measure
+            )
+            del calls[:]
+            result = sdad_cs(ds, context, ["x", "noise"], config,
+                             pipeline=pipeline, backend=backend,
+                             evaluator=second)
+            pipeline.publish()
+            return result, list(calls), pipeline.stats
+
+        reused, reused_calls, reused_stats = second_run(shared=True)
+        fresh, fresh_calls, fresh_stats = second_run(shared=False)
+        assert reused.patterns
+        assert len(reused_calls) == len(fresh_calls) - 1
+        assert sorted(fresh_calls) == sorted(reused_calls + ["x"])
+        assert [(p.itemset, p.counts) for p in reused.patterns] == [
+            (p.itemset, p.counts) for p in fresh.patterns
+        ]
+        assert reused.pure_itemsets == fresh.pure_itemsets
+        assert reused_stats.partitions_evaluated == (
+            fresh_stats.partitions_evaluated
+        )

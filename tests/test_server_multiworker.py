@@ -10,12 +10,21 @@ The pool's guarantees under test:
 * the merged ``/metrics`` view sums per-worker match counters to exactly
   the number of requests the clients sent;
 * platforms without ``SO_REUSEPORT`` degrade to the single-socket
-  fallback rather than failing.
+  fallback rather than failing;
+* SIGTERM to a ``repro serve --workers N`` parent stops every worker
+  and closes the port instead of orphaning the workers.
 """
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 import http.client
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +259,99 @@ class TestSingleSocketFallback:
             assert json.loads(body)["mode"] == "single-socket-fallback"
         finally:
             server.stop()
+
+
+def _child_pids(pid: int) -> list[int]:
+    """Live, non-zombie children of ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        # state and ppid follow the parenthesised command name
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _refuses(port: int) -> bool:
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=1).close()
+    except ConnectionRefusedError:
+        return True
+    except OSError:
+        return False
+    return False
+
+
+@needs_reuseport
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="needs /proc to find the workers"
+)
+class TestSigterm:
+    """Regression: the ``repro serve`` parent had no SIGTERM handler, so
+    the default action killed it before ``stop()`` and both daemon
+    workers kept serving as orphans."""
+
+    def test_sigterm_stops_workers_and_closes_port(self, tmp_path, mined):
+        _, result = mined
+        PatternStore(tmp_path / "store").put(result)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                str(tmp_path / "store"), "--host", "127.0.0.1",
+                "--port", str(port), "--workers", "2",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                assert proc.poll() is None, "serve exited during startup"
+                try:
+                    status, _ = _get("127.0.0.1", port, "/healthz")
+                    if status == 200:
+                        break
+                except OSError:
+                    pass
+                assert time.monotonic() < deadline, "serve never came up"
+                time.sleep(0.1)
+            workers = _child_pids(proc.pid)
+            assert len(workers) == 2, workers
+
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) or not _refuses(port):
+                assert time.monotonic() < deadline, (
+                    f"after SIGTERM: workers alive "
+                    f"{[p for p in workers if _alive(p)]}, "
+                    f"port refusing {_refuses(port)}"
+                )
+                time.sleep(0.05)
+            proc.wait(timeout=10)
+        finally:
+            for pid in [proc.pid] + workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait(timeout=10)
