@@ -105,26 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="restrict the search to these attributes",
         )
         p.add_argument(
-            "--backend",
-            default="mask",
-            choices=("mask", "bitmap"),
-            help=(
-                "support-counting backend: 'mask' (boolean masks) or "
-                "'bitmap' (packed bit-vectors, faster on "
-                "categorical-heavy data)"
-            ),
-        )
-        p.add_argument(
             "--cache-size",
             type=int,
             default=None,
             dest="backend_cache_size",
             metavar="N",
             help=(
-                "capacity of the counting backend's memo cache "
-                "(bitmap context-coverage LRU, or the per-chunk counts "
-                "LRU when mining a chunked dataset); requires "
-                "--backend bitmap"
+                "capacity of the counting backend's LRU of "
+                "categorical-context bitsets (entries of one chunk each)"
             ),
         )
         p.add_argument(
@@ -457,7 +445,6 @@ def _config(args) -> MinerConfig:
         k=args.k,
         max_tree_depth=args.depth,
         interest_measure=args.measure,
-        counting_backend=args.backend,
         backend_cache_size=args.backend_cache_size,
         resilience=ResiliencePolicy(
             max_retries=args.max_retries,

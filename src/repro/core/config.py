@@ -12,7 +12,13 @@ from dataclasses import dataclass, field, replace
 
 from ..resilience.policy import ResiliencePolicy
 
-__all__ = ["MinerConfig"]
+__all__ = ["MinerConfig", "RETIRED_VALUES"]
+
+#: ``MinerConfig`` values removed since configs were first persisted (in
+#: stored runs and checkpoints), mapped to the value they now mine as.
+#: ``counting_backend="mask"``, the default up to 1.6.0, counted with
+#: boolean masks; every count is the same with the one packed backend.
+RETIRED_VALUES = {("counting_backend", "mask"): "bitmap"}
 
 
 @dataclass(frozen=True)
@@ -70,19 +76,16 @@ class MinerConfig:
     """Where to split a continuous attribute inside the current region:
     ``"median"`` (the paper's choice) or ``"mean"`` (Section 4.1 mentions
     both; the ablation bench compares them)."""
-    counting_backend: str = "mask"
-    """Support-counting backend: ``"mask"`` (boolean masks, the reference
-    path) or ``"bitmap"`` (packed bit-vectors + per-group popcount with a
-    context-coverage cache — the fast path for categorical-heavy data).
-    See :mod:`repro.counting`."""
+    counting_backend: str = "bitmap"
+    """Always ``"bitmap"``: support counting has one algorithm, packed
+    bitsets over chunks (:mod:`repro.counting`).  The field stays so
+    existing configs and stored runs keep loading; the ``"mask"`` value
+    was removed in 1.7.0."""
     backend_cache_size: int | None = None
-    """Capacity of the counting backend's memo cache: the bitmap
-    backend's context-coverage LRU, or — when mining a chunked dataset —
-    the chunk-aware backend's (chunk digest, itemset) counts LRU.
-    ``None`` keeps each backend's default.  The mask backend keeps no
-    cache, so setting this with ``counting_backend="mask"`` is a
-    configuration error (caches never change mined patterns, only
-    speed)."""
+    """Capacity, in entries, of the counting backend's LRU of
+    categorical-context bitsets; each entry is one chunk's packed rows
+    (``chunk_rows / 8`` bytes).  ``None`` keeps the default (8192).  The
+    cache never changes mined patterns, only speed."""
     merge: bool = True
     merge_alpha: float = 0.05
     min_expected_count: float = 5.0
@@ -118,18 +121,15 @@ class MinerConfig:
             raise ValueError("k must be >= 1")
         if self.split_statistic not in ("median", "mean"):
             raise ValueError("split_statistic must be 'median' or 'mean'")
-        if self.counting_backend not in ("mask", "bitmap"):
+        if self.counting_backend == "mask":
             raise ValueError(
-                "counting_backend must be 'mask' or 'bitmap'"
+                "counting_backend='mask' was removed in 1.7.0: support "
+                "counting has one packed-bitmap backend; drop the setting"
             )
-        if self.backend_cache_size is not None:
-            if self.backend_cache_size < 1:
-                raise ValueError("backend_cache_size must be >= 1")
-            if self.counting_backend == "mask":
-                raise ValueError(
-                    "backend_cache_size requires counting_backend="
-                    "'bitmap' (the mask backend keeps no cache)"
-                )
+        if self.counting_backend != "bitmap":
+            raise ValueError("counting_backend must be 'bitmap'")
+        if self.backend_cache_size is not None and self.backend_cache_size < 1:
+            raise ValueError("backend_cache_size must be >= 1")
         if not isinstance(self.resilience, ResiliencePolicy):
             raise TypeError("resilience must be a ResiliencePolicy")
 

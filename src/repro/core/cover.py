@@ -16,9 +16,7 @@ recursion keep its per-space state at ``n_rows / 8`` bytes (and its
   (``chunk_sizes == (n_rows,)``), so one code path serves both.
 
 Segments may be supplied lazily as zero-argument callables; they are
-materialised (and cached) on first access.  Lazy segments let a chunked
-counting backend describe a context's coverage without touching any
-chunk until the search actually intersects or counts it.
+materialised (and cached) on first access.
 
 Pickling always materialises: a pickled cover is its packed bytes
 (~``n_rows / 8`` plus small overhead), never a thunk.
@@ -30,27 +28,33 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Cover"]
+__all__ = ["Cover", "popcount", "popcount_rows"]
 
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
 
-    def _popcount(bits: np.ndarray) -> int:
+    def popcount(bits: np.ndarray) -> int:
+        """Number of set bits in a packed ``uint8`` array."""
         return int(np.bitwise_count(bits).sum())
 
-    def _popcount_rows(bits: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    def popcount_rows(bits: np.ndarray) -> np.ndarray:
+        """Popcounts along the last axis of a packed array (one count per
+        row of a 2-d group stack, one per cell of a 3-d batch)."""
+        return np.bitwise_count(bits).sum(axis=-1, dtype=np.int64)
 
 else:  # pragma: no cover - exercised only on numpy < 2.0
     _POPCOUNT_TABLE = np.array(
         [bin(i).count("1") for i in range(256)], dtype=np.uint8
     )
 
-    def _popcount(bits: np.ndarray) -> int:
+    def popcount(bits: np.ndarray) -> int:
+        """Number of set bits in a packed ``uint8`` array."""
         return int(_POPCOUNT_TABLE[bits].sum(dtype=np.int64))
 
-    def _popcount_rows(bits: np.ndarray) -> np.ndarray:
-        return _POPCOUNT_TABLE[bits].sum(axis=1, dtype=np.int64)
+    def popcount_rows(bits: np.ndarray) -> np.ndarray:
+        """Popcounts along the last axis of a packed array (one count per
+        row of a 2-d group stack, one per cell of a 3-d batch)."""
+        return _POPCOUNT_TABLE[bits].sum(axis=-1, dtype=np.int64)
 
 
 def _packed_full(n_rows: int) -> np.ndarray:
@@ -204,7 +208,7 @@ class Cover:
 
     def count(self) -> int:
         """Number of covered rows."""
-        return sum(_popcount(self.segment(i)) for i in range(self.n_chunks))
+        return sum(popcount(self.segment(i)) for i in range(self.n_chunks))
 
     def group_counts(
         self, group_stacks: Sequence[np.ndarray]
@@ -223,7 +227,7 @@ class Cover:
             )
         total: np.ndarray | None = None
         for i, stack in enumerate(group_stacks):
-            counts = _popcount_rows(stack & self.segment(i))
+            counts = popcount_rows(stack & self.segment(i))
             total = counts if total is None else total + counts
         if total is None:
             return np.zeros(0, dtype=np.int64)

@@ -32,22 +32,23 @@ class MiningStats:
     candidates_generated: int = 0
     nodes_expanded: int = 0
     elapsed_seconds: float = 0.0
-    counting_backend: str = "mask"
-    """Name of the support-counting backend that produced the counts."""
+    counting_backend: str = "bitmap"
+    """Name of the counting backend's chunk source: ``"bitmap"`` for an
+    in-memory dataset, ``"chunked"`` for a chunked view."""
     count_calls: int = 0
-    """Raw backend counting calls (itemset and mask group-counts alike)."""
+    """Backend counting calls (one per candidate or cover counted)."""
     cache_hits: int = 0
-    """Context-coverage cache hits (bitmap backend; 0 for mask)."""
+    """Context-bitset cache hits, one per (chunk, context) probe."""
     cache_misses: int = 0
-    """Context-coverage cache misses (bitmap backend; 0 for mask)."""
+    """Context-bitset cache misses, one per (chunk, context) probe."""
     batch_calls: int = 0
     """``group_counts_batch`` invocations on the counting backend."""
     batched_candidates: int = 0
     """Candidates counted through ``group_counts_batch`` (each also bumps
-    ``count_calls`` so scalar and batch drivers report comparable totals)."""
+    ``count_calls``)."""
     batch_fallbacks: int = 0
-    """Batched candidates that fell back to a per-candidate scalar count
-    (backend without a native batch path, or hybrid numeric itemsets)."""
+    """Batched candidates with numeric items, whose coverage is evaluated
+    on each chunk's rows before the packed count."""
     prune_rule_checks: dict[str, int] = field(default_factory=dict)
     """Per pipeline rule: candidates the rule examined."""
     prune_rule_hits: dict[str, int] = field(default_factory=dict)

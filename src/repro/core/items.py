@@ -157,9 +157,7 @@ class NumericItem:
         iv = self.interval
         left = "<=" if iv.lo_closed else "<"
         right = "<=" if iv.hi_closed else "<"
-        lo = "-inf" if math.isinf(iv.lo) else f"{iv.lo:g}"
-        hi = "inf" if math.isinf(iv.hi) else f"{iv.hi:g}"
-        return f"{lo} {left} {self.attribute} {right} {hi}"
+        return f"{iv.lo:g} {left} {self.attribute} {right} {iv.hi:g}"
 
 
 Item = Union[CategoricalItem, NumericItem]

@@ -35,7 +35,6 @@ from .items import Interval, Itemset, NumericItem
 __all__ = [
     "AttributeRange",
     "Space",
-    "dataset_chunk_sizes",
     "full_space",
     "partition_median",
     "find_combinations",
@@ -59,14 +58,6 @@ _STREAM_GATHER_FALLBACK = 2_097_152
 
 #: Hard cap on narrowing passes before falling back to a gather.
 _STREAM_MAX_PASSES = 64
-
-
-def dataset_chunk_sizes(dataset: Dataset) -> tuple[int, ...]:
-    """Per-chunk row counts of a dataset (``(n_rows,)`` when dense)."""
-    metas = getattr(dataset, "chunk_metas", None)
-    if metas is None:
-        return (dataset.n_rows,)
-    return tuple(m.n_rows for m in metas())
 
 
 def _iter_chunk_columns(dataset: Dataset, name: str) -> Iterator[np.ndarray]:
@@ -244,7 +235,7 @@ def full_space(
     if not isinstance(context_cover, Cover):
         context_cover = Cover.from_dense(
             np.asarray(context_cover, dtype=bool),
-            dataset_chunk_sizes(dataset),
+            dataset.chunk_sizes,
         )
     if backend is not None:
         counts = backend.cover_group_counts(context_cover)
@@ -309,6 +300,17 @@ def _weighted_median(medians: list[float], weights: list[int]) -> float:
     return float(med[order][min(idx, med.size - 1)])
 
 
+def _window_median(window: np.ndarray) -> float:
+    """A chunk window's median for the narrowing pivot; its lower middle
+    where the two middles are ``-inf`` and ``+inf`` (a NaN mean)."""
+    with np.errstate(invalid="ignore"):
+        median = float(np.median(window))
+    if math.isnan(median):
+        k = (window.size - 1) >> 1
+        median = float(np.partition(window, k)[k])
+    return median
+
+
 def _select_kth(
     dataset: Dataset, cover: Cover, attribute: str, k: int
 ) -> float:
@@ -332,7 +334,7 @@ def _select_kth(
             window = vals[(vals >= wlo) & (vals <= whi)]
             total += window.size
             if window.size:
-                medians.append(float(np.median(window)))
+                medians.append(_window_median(window))
                 weights.append(int(window.size))
         if total <= _STREAM_GATHER_FALLBACK:
             break
@@ -368,12 +370,13 @@ def _streaming_median_split(
     Reproduces the dense path bit for bit: the two middle order
     statistics are found exactly (streaming selection), an even-length
     median is their IEEE-double mean — the same ``(a + b) / 2.0``
-    ``np.median`` computes — and the heavy-ties fallback (split point at
-    or above the maximum) returns the largest distinct value below the
-    maximum, exactly ``np.unique(values)[-2]``.  Like the gather path it
-    returns ``median + 0.0``, so a space holding both ``-0.0`` and
-    ``0.0`` always splits at ``+0.0``, whatever order selection met
-    them in.
+    ``np.median`` computes, or the lower middle where that mean is NaN
+    (middles ``-inf`` and ``+inf``) — and the heavy-ties fallback (split
+    point at or above the maximum) returns the largest distinct value
+    below the maximum, exactly ``np.unique(values)[-2]``.  Like the
+    gather path it returns ``median + 0.0``, so a space holding both
+    ``-0.0`` and ``0.0`` always splits at ``+0.0``, whatever order
+    selection met them in.
     """
     n = 0
     vmin = math.inf
@@ -404,6 +407,8 @@ def _streaming_median_split(
                 above = min(above, float(gt.min()))
         v2 = v1 if c_le > k2 else above
         median = float((v1 + v2) / 2.0)
+        if math.isnan(median):  # the middles are -inf and +inf
+            median = v1
     if median >= vmax:
         # Heavy ties at the top: largest distinct value below the
         # maximum, computed as a per-chunk masked max merge.
@@ -427,6 +432,9 @@ def _gathered_split(
     left of ``mid`` is ≤ it, so that maximum is order statistic
     ``mid - 1``).  An even-length median is the IEEE-double mean
     ``(a + b) / 2.0`` of the two middles, bit-identical to ``np.median``.
+    Where that mean is NaN — middles ``-inf`` and ``+inf``, or a
+    ``statistic="mean"`` sample holding both infinities — the split is
+    the lower middle order statistic instead.
     """
     values = _gather_space_values(dataset, cover, attribute)
     if values.size == 0:
@@ -444,11 +452,18 @@ def _gathered_split(
         if n & 1:
             median = float(values[mid])
         else:
-            median = float((values[:mid].max() + values[mid]) / 2.0)
+            lower = values[:mid].max()
+            with np.errstate(invalid="ignore"):
+                median = float((lower + values[mid]) / 2.0)
+            if math.isnan(median):  # the middles are -inf and +inf
+                median = float(lower)
     else:
-        # the mean of a non-constant sample is strictly inside
-        # (vmin, vmax), so no tie fallback is ever needed
-        median = float(values.mean())
+        with np.errstate(invalid="ignore"):
+            median = float(values.mean())
+        if math.isnan(median):  # the sample holds -inf and +inf
+            lower = (values.size - 1) >> 1
+            values.partition(lower)
+            median = float(values[lower])
     if median >= vmax:
         # Heavy ties at the top (the paper's "unique values far less than
         # data points" caveat): fall back to the largest distinct value

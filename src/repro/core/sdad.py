@@ -91,9 +91,9 @@ class _SDADRun:
         self.known_pure = tuple(known_pure)
         if backend is None:
             # imported lazily to avoid a module cycle with repro.counting
-            from ..counting.mask import MaskBackend
+            from ..counting import backend_from_config
 
-            backend = MaskBackend(dataset)
+            backend = backend_from_config(config, dataset)
         self.backend = backend
         self.measure = measures.get(config.interest_measure)
         # Vectorized per-frame driver (DESIGN.md §12).  The outer search
@@ -173,9 +173,7 @@ class _SDADRun:
 
     def run(self) -> SDADResult:
         self.stats.sdad_calls += 1
-        # Packed per-chunk coverage of the categorical context; with a
-        # chunked backend the segments are lazy thunks, so chunks are
-        # only touched when the recursion actually reads them.
+        # Packed per-chunk coverage of the categorical context.
         context_cover = (
             self.backend.cover_of(self.categorical)
             if len(self.categorical)
@@ -500,7 +498,7 @@ def sdad_cs(
     backend:
         Optional :class:`repro.counting.CountingBackend` that performs all
         support counting (context coverage and per-space group counts);
-        defaults to a fresh mask backend.
+        defaults to a fresh one for ``config`` and ``dataset``.
     evaluator:
         Optional shared :class:`~repro.core.batch.BatchEvaluator` (built
         around the same pipeline and backend) so dataset-level caches —

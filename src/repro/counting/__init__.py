@@ -1,94 +1,57 @@
-"""Pluggable support-counting backends.
+"""Support counting.
 
 The miners delegate all support counting — itemset contingency rows and
-mask-restricted group counts — to a :class:`~repro.counting.base.
-CountingBackend`.  Two implementations ship:
+per-group counts inside packed covers — to a
+:class:`~repro.counting.base.CountingBackend`.  There is one counting
+algorithm, :class:`~repro.counting.bitmap.BitmapBackend`: packed
+per-chunk item bitsets and group stacks, AND + popcount counting, and an
+LRU of categorical-context bitsets (SciCSM, related work [29]).  An
+in-memory dataset is one chunk; :class:`~repro.counting.chunked.
+ChunkedBackend` supplies the chunks of an out-of-core
+:class:`~repro.dataset.chunked.ChunkedView`.  There is nothing to
+select: :func:`backend_from_config` picks the chunk source from the
+dataset, and ``MinerConfig.backend_cache_size`` sizes the context LRU.
 
-``mask``
-    :class:`~repro.counting.mask.MaskBackend` — boolean masks over numpy
-    columns; the historical reference path and the default.
-``bitmap``
-    :class:`~repro.counting.bitmap.BitmapBackend` — packed bit-vectors with
-    per-group popcounts and an LRU cache of categorical-context coverage
-    vectors; the fast path for categorical-heavy workloads.
-
-Select one via ``MinerConfig(counting_backend="bitmap")`` or the CLI's
-``--backend`` flag.
+:class:`~repro.counting.mask.MaskBackend` computes the same operations
+unpacked and exists only as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+from ..dataset.chunked import ChunkedView
 from .base import BackendCounters, CountingBackend, CountingBackendBase
-from .bitmap import BitmapBackend
+from .bitmap import DEFAULT_CACHE_SIZE, BitmapBackend
+from .chunked import ChunkedBackend
 from .mask import MaskBackend
 
 __all__ = [
     "BackendCounters",
     "CountingBackend",
     "CountingBackendBase",
-    "MaskBackend",
     "BitmapBackend",
-    "BACKENDS",
-    "available_backends",
+    "ChunkedBackend",
+    "MaskBackend",
+    "backend_class",
     "backend_from_config",
-    "make_backend",
 ]
 
-BACKENDS: dict[str, type] = {
-    MaskBackend.name: MaskBackend,
-    BitmapBackend.name: BitmapBackend,
-}
+
+def backend_class(dataset) -> type[BitmapBackend]:
+    """The chunk source for a dataset: a :class:`ChunkedView`'s chunks,
+    or the dataset itself as one chunk."""
+    if isinstance(dataset, ChunkedView):
+        return ChunkedBackend
+    return BitmapBackend
 
 
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(BACKENDS))
-
-
-def make_backend(
-    name: str, dataset, *, cache_size: int | None = None
-) -> CountingBackend:
-    """Instantiate a registered backend for a dataset.
-
-    ``name`` and ``dataset`` are the identity of the backend and stay
-    positional; every option is keyword-only (this signature is the
-    formal API — see DESIGN.md §12).
-    """
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown counting backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-    if cache_size is None:
-        return cls(dataset)
-    return cls(dataset, cache_size=cache_size)
-
-
-def backend_from_config(config, dataset) -> CountingBackend:
-    """Instantiate the backend a :class:`~repro.core.config.MinerConfig`
-    asks for, honouring ``backend_cache_size`` and dispatching lazy
-    out-of-core datasets to the chunk-aware backend.
+def backend_from_config(config, dataset) -> BitmapBackend:
+    """The counting backend for a (:class:`~repro.core.config.
+    MinerConfig`, dataset) pair.
 
     This is the single construction point the search layers use
-    (``SearchEngine``, the parallel worker initialiser, the serial
-    fallback), so every execution path counts through the same backend
-    for the same (config, dataset) pair.
+    (``SearchEngine``, ``sdad_cs``, the parallel worker initialiser, the
+    serial fallback), so every execution path counts the same way.
     """
-    # imported lazily: the chunked layer is optional machinery most
-    # in-memory runs never touch
-    from ..dataset.chunked import ChunkedView
-
-    if isinstance(dataset, ChunkedView):
-        from .chunked import ChunkedBackend
-
-        return ChunkedBackend(
-            dataset,
-            inner=config.counting_backend,
-            cache_size=config.backend_cache_size,
-        )
-    return make_backend(
-        config.counting_backend, dataset,
-        cache_size=config.backend_cache_size,
+    return backend_class(dataset)(
+        dataset, cache_size=config.backend_cache_size or DEFAULT_CACHE_SIZE
     )

@@ -1,10 +1,11 @@
-"""Boolean-mask counting backend (the historical reference path).
+"""Unpacked reference counting, for tests.
 
-This extracts exactly the counting logic the search layers used inline
-before backends existed: itemset coverage is the AND of per-item boolean
-masks over the raw columns, and per-group counting is a ``bincount`` of the
-group codes inside the mask.  It is the byte-identical baseline every other
-backend must match.
+:class:`MaskBackend` answers the three counting operations of the
+:class:`~repro.counting.base.CountingBackend` protocol the plain way —
+``Itemset.cover`` boolean masks over full columns and
+``Dataset.group_counts`` bincounts — so the packed
+:class:`~repro.counting.bitmap.BitmapBackend` has an independent oracle.
+The miner never builds one; tests hand it to the search layers directly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.cover import Cover
 from .base import CountingBackendBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -26,13 +28,19 @@ class MaskBackend(CountingBackendBase):
 
     name = "mask"
 
-    def cover(self, itemset: "Itemset") -> np.ndarray:
-        return itemset.cover(self.dataset)
+    def cover_of(self, itemset: "Itemset") -> Cover:
+        return Cover.from_dense(
+            itemset.cover(self.dataset), self.dataset.chunk_sizes
+        )
 
-    def group_counts(self, itemset: "Itemset") -> np.ndarray:
-        self.count_calls += 1
-        return self.dataset.group_counts(itemset.cover(self.dataset))
+    def group_counts_batch(self, itemsets) -> np.ndarray:
+        masks = [itemset.cover(self.dataset) for itemset in itemsets]
+        self._tally_batch(len(masks))
+        out = np.zeros((len(masks), self.dataset.n_groups), dtype=np.int64)
+        for i, mask in enumerate(masks):
+            out[i] = self.dataset.group_counts(mask)
+        return out
 
-    def mask_group_counts(self, mask: np.ndarray) -> np.ndarray:
+    def cover_group_counts(self, cover: Cover) -> np.ndarray:
         self.count_calls += 1
-        return self.dataset.group_counts(mask)
+        return self.dataset.group_counts(cover.to_dense())

@@ -6,10 +6,12 @@ bitwise AND, counting by popcount.  This module provides that substrate
 for categorical datasets (bin continuous attributes first, e.g. with
 :mod:`repro.baselines.discretizers`), including per-group popcounts so an
 itemset's full contingency row costs ``|items| + |groups|`` vectorised
-word operations.
+word operations.  :func:`pack_codes` is the one packing routine: the
+miner's counting backend (:mod:`repro.counting.bitmap`) builds its
+per-chunk item bitsets and group stacks with it too.
 
 The ablation bench ``bench_ablation_bitmap.py`` compares this counting
-path against the boolean-mask path used elsewhere.
+path against boolean masks.
 """
 
 from __future__ import annotations
@@ -18,34 +20,17 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.cover import popcount, popcount_rows
 from ..core.items import CategoricalItem, Itemset
 from .table import Dataset
 
-__all__ = ["BitmapIndex", "popcount"]
+__all__ = ["BitmapIndex", "pack_codes", "popcount"]
 
 
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def popcount(bits: np.ndarray) -> int:
-        """Number of set bits in a packed ``uint8`` vector."""
-        return int(np.bitwise_count(bits).sum())
-
-    def popcount_rows(bits: np.ndarray) -> np.ndarray:
-        """Per-row popcounts of a 2-d packed array (one row per group)."""
-        return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-    _POPCOUNT_TABLE = np.array(
-        [bin(i).count("1") for i in range(256)], dtype=np.uint8
-    )
-
-    def popcount(bits: np.ndarray) -> int:
-        """Number of set bits in a packed ``uint8`` vector."""
-        return int(_POPCOUNT_TABLE[bits].sum(dtype=np.int64))
-
-    def popcount_rows(bits: np.ndarray) -> np.ndarray:
-        """Per-row popcounts of a 2-d packed array (one row per group)."""
-        return _POPCOUNT_TABLE[bits].sum(axis=1, dtype=np.int64)
+def pack_codes(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """``(n_codes, ceil(len(codes) / 8))`` packed membership stack: row
+    ``c`` holds the bits of ``codes == c`` (``np.packbits`` layout)."""
+    return np.stack([np.packbits(codes == c) for c in range(n_codes)])
 
 
 class BitmapIndex:
@@ -69,22 +54,13 @@ class BitmapIndex:
         self.dataset = dataset
         self.attributes = names
         self.n_rows = dataset.n_rows
-        self._n_words = (self.n_rows + 7) // 8
-
         self._bitmaps: dict[tuple[str, str], np.ndarray] = {}
         for name in names:
-            attr = dataset.attribute(name)
-            column = dataset.column(name)
-            for code, label in enumerate(attr.categories):
-                self._bitmaps[(name, label)] = np.packbits(
-                    column == code
-                )
-
-        self._group_bitmaps: list[np.ndarray] = []
-        codes = np.asarray(dataset.group_codes)
-        for g in range(dataset.n_groups):
-            self._group_bitmaps.append(np.packbits(codes == g))
-
+            categories = dataset.attribute(name).categories
+            stack = pack_codes(dataset.column(name), len(categories))
+            for label, bits in zip(categories, stack):
+                self._bitmaps[(name, label)] = bits
+        self._groups = pack_codes(dataset.group_codes, dataset.n_groups)
         self._full = np.packbits(np.ones(self.n_rows, dtype=bool))
 
     # ------------------------------------------------------------------
@@ -97,7 +73,7 @@ class BitmapIndex:
     @property
     def group_bitmaps(self) -> tuple[np.ndarray, ...]:
         """One packed membership vector per group, in group order."""
-        return tuple(self._group_bitmaps)
+        return tuple(self._groups)
 
     def item_bitmap(self, item: CategoricalItem) -> np.ndarray:
         """The packed coverage bits of one item."""
@@ -130,14 +106,7 @@ class BitmapIndex:
 
     def group_counts(self, itemset: Itemset) -> np.ndarray:
         """Per-group covered counts — the miner's core statistic."""
-        bits = self.cover_bits(itemset)
-        return np.array(
-            [
-                self.popcount(bits & group_bits)
-                for group_bits in self._group_bitmaps
-            ],
-            dtype=np.int64,
-        )
+        return popcount_rows(self._groups & self.cover_bits(itemset))
 
     def supports(self, itemset: Itemset) -> np.ndarray:
         counts = self.group_counts(itemset).astype(float)
@@ -149,5 +118,4 @@ class BitmapIndex:
     def memory_bytes(self) -> int:
         """Bytes held by all bitmaps (the space-efficiency argument)."""
         total = sum(b.nbytes for b in self._bitmaps.values())
-        total += sum(b.nbytes for b in self._group_bitmaps)
-        return total + self._full.nbytes
+        return total + self._groups.nbytes + self._full.nbytes

@@ -763,7 +763,7 @@ class ChunkedView(Dataset):
         self._columns: dict[str, np.ndarray] = {}  # unused; lazy instead
         self._column_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
 
-    # -- chunk-level surface (used by the chunk-aware counting backend)
+    # -- chunk-level surface (used by the chunked counting backend)
 
     @property
     def chunk_store(self) -> ChunkedDataset:
@@ -785,6 +785,10 @@ class ChunkedView(Dataset):
         return tuple(
             self._store._chunk_meta(i) for i in self._chunk_indices
         )
+
+    @property
+    def chunk_sizes(self) -> tuple[int, ...]:
+        return tuple(meta.n_rows for meta in self.chunk_metas())
 
     def iter_chunks(self) -> Iterator[Dataset]:
         for index in self._chunk_indices:

@@ -185,6 +185,15 @@ class Dataset:
         return self.n_rows
 
     @property
+    def chunk_sizes(self) -> tuple[int, ...]:
+        """Rows per storage chunk: an in-memory dataset is one chunk.
+
+        Packed :class:`~repro.core.cover.Cover` bitsets over this dataset
+        are segmented along these boundaries.
+        """
+        return (self.n_rows,)
+
+    @property
     def group_name(self) -> str:
         return self._group_name
 

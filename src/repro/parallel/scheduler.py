@@ -32,9 +32,9 @@ This module implements the strategy with ``multiprocessing`` on one
 machine — the paper's cluster stands in for our process pool (DESIGN.md
 substitution #4).  The public entry point is
 :meth:`repro.ContrastSetMiner.mine` with ``n_jobs > 1``.  Workers count
-supports through the configured :mod:`counting backend <repro.counting>` —
-each worker builds its backend once in the pool initializer, so the bitmap
-backend's packed index and context cache persist across the tasks a worker
+supports through the :mod:`counting backend <repro.counting>` — each
+worker builds its backend once in the pool initializer, so its packed
+per-chunk indexes and context cache persist across the tasks a worker
 processes.
 
 Task dispatch is fault-tolerant (DESIGN.md section 9): every task travels
@@ -74,7 +74,7 @@ from ..core.search import (
 )
 from ..core.stats import AlphaLadder
 from ..core.topk import TopKList
-from ..counting import CountingBackend, backend_from_config
+from ..counting import CountingBackend, backend_class, backend_from_config
 from ..dataset.table import Dataset
 from ..resilience.checkpoint import (
     MiningCheckpoint,
@@ -336,13 +336,7 @@ def parallel_search(
         stats.resumed_from_level = resume_from.completed_level
     else:
         stats = MiningStats()
-        from ..dataset.chunked import ChunkedView
-
-        stats.counting_backend = (
-            f"chunked+{config.counting_backend}"
-            if isinstance(dataset, ChunkedView)
-            else config.counting_backend
-        )
+        stats.counting_backend = backend_class(dataset).name
         prune_table = PruneTable()
         ladder = AlphaLadder(config.alpha)
         topk = TopKList(config.k, config.delta)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -156,7 +156,9 @@ def load_checkpoint(path: str | os.PathLike) -> MiningCheckpoint:
     """Load a checkpoint file (or the latest one in a directory).
 
     Raises :class:`CheckpointError` for anything that is not a complete,
-    current-version repro checkpoint.
+    current-version repro checkpoint.  Config values retired since the
+    checkpoint was written load as their replacement
+    (:data:`repro.core.config.RETIRED_VALUES`).
     """
     path = Path(path)
     if path.is_dir():
@@ -192,6 +194,12 @@ def load_checkpoint(path: str | os.PathLike) -> MiningCheckpoint:
             f"checkpoint {path} payload is malformed "
             f"(expected MiningCheckpoint, got {type(state).__name__})"
         )
+    # imported here: repro.core.config imports this package
+    from ..core.config import RETIRED_VALUES
+
+    for (key, old), new in RETIRED_VALUES.items():
+        if getattr(state.config, key, None) == old:
+            state.config = replace(state.config, **{key: new})
     return state
 
 

@@ -162,15 +162,19 @@ class StoredRun:
     def miner_config(self) -> "MinerConfig":
         """Rebuild the :class:`MinerConfig` the run was mined under.
 
-        Keys of retired config fields are dropped (they no longer change
-        what is mined); any other unknown key raises :class:`StoreError`.
+        Keys of retired config fields are dropped and retired values are
+        mapped to their replacement (neither changes what is mined); any
+        other unknown key raises :class:`StoreError`.
         """
-        from ..core.config import MinerConfig
+        from ..core.config import RETIRED_VALUES, MinerConfig
         from ..resilience.policy import ResiliencePolicy
 
         payload = dict(self.config)
         for key in _RETIRED_CONFIG_KEYS:
             payload.pop(key, None)
+        for (key, old), new in RETIRED_VALUES.items():
+            if payload.get(key) == old:
+                payload[key] = new
         unknown = sorted(set(payload) - {f.name for f in fields(MinerConfig)})
         if unknown:
             raise StoreError(

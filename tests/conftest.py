@@ -109,3 +109,39 @@ def categorical_dataset(rng) -> Dataset:
         group,
         ["good", "bad"],
     )
+
+
+# ----------------------------------------------------------------------
+# The unpacked counting reference
+# ----------------------------------------------------------------------
+
+
+def recount_with_reference(dataset, patterns):
+    """The patterns with their per-group counts recounted by the unpacked
+    reference backend (``Itemset.cover`` + ``Dataset.group_counts``)."""
+    import dataclasses
+
+    from repro.counting import MaskBackend
+
+    rows = MaskBackend(dataset).group_counts_batch(
+        [p.itemset for p in patterns]
+    )
+    return [
+        dataclasses.replace(p, counts=tuple(int(c) for c in row))
+        for p, row in zip(patterns, rows)
+    ]
+
+
+def mine_with_reference(dataset, config, *, groups=None, attributes=None):
+    """A serial search whose every count comes from the unpacked
+    reference backend; returns ``(patterns, interests, stats)``."""
+    from repro.core.search import SearchEngine
+    from repro.counting import MaskBackend
+
+    if groups is not None:
+        dataset = dataset.select_groups(groups)
+    engine = SearchEngine(
+        dataset, config, attributes, backend=MaskBackend(dataset)
+    )
+    topk = engine.run()
+    return topk.patterns(), topk.interests(), engine.stats

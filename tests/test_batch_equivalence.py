@@ -3,8 +3,9 @@
 The vectorized evaluation engine is pinned against the scalar reference
 kernels here:
 
-* ``group_counts_batch`` returns exactly the stacked scalar
-  ``group_counts`` rows, for every registered backend (property-based);
+* the packed backend's ``group_counts_batch`` rows equal the unpacked
+  reference's, and each equals counting the candidate's own packed
+  cover (property-based);
 * every vectorized kernel (chi-square, expected counts, prune
   predicates, optimistic estimates, interest measures) matches its
   scalar counterpart element for element — bit-identical where the
@@ -57,12 +58,25 @@ from repro.core.stats import (
     min_expected_count,
     min_expected_count_batch,
 )
-from repro.counting import make_backend
+from repro.counting import BitmapBackend, MaskBackend
 
 
 # ----------------------------------------------------------------------
-# group_counts_batch == stacked scalar group_counts, per backend
+# packed group_counts_batch == reference rows == per-candidate covers
 # ----------------------------------------------------------------------
+
+
+def _assert_batch_matches(backend, dataset, itemsets):
+    batch = backend.group_counts_batch(itemsets)
+    assert batch.shape == (len(itemsets), dataset.n_groups)
+    assert batch.dtype == np.int64
+    assert np.array_equal(
+        batch, MaskBackend(dataset).group_counts_batch(itemsets)
+    )
+    for i, itemset in enumerate(itemsets):
+        assert np.array_equal(
+            batch[i], backend.cover_group_counts(backend.cover_of(itemset))
+        )
 
 
 @st.composite
@@ -124,15 +138,10 @@ def dataset_and_itemsets(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(data=dataset_and_itemsets(), backend_name=st.sampled_from(["mask", "bitmap"]))
-def test_group_counts_batch_matches_stacked_scalar(data, backend_name):
+@given(data=dataset_and_itemsets())
+def test_group_counts_batch_matches_stacked_scalar(data):
     dataset, itemsets = data
-    backend = make_backend(backend_name, dataset)
-    batch = backend.group_counts_batch(itemsets)
-    assert batch.shape == (len(itemsets), dataset.n_groups)
-    assert batch.dtype == np.int64
-    for i, itemset in enumerate(itemsets):
-        assert np.array_equal(batch[i], backend.group_counts(itemset))
+    _assert_batch_matches(BitmapBackend(dataset), dataset, itemsets)
 
 
 def test_group_counts_batch_matches_scalar_chunked(tmp_path, mixed_dataset):
@@ -142,7 +151,7 @@ def test_group_counts_batch_matches_scalar_chunked(tmp_path, mixed_dataset):
     store = ChunkedDataset.pack(
         tmp_path / "store", mixed_dataset, chunk_size=97
     )
-    backend = ChunkedBackend(store.view(), inner="mask")
+    backend = ChunkedBackend(store.view())
     itemsets = [
         Itemset(),
         Itemset([CategoricalItem("color", "red")]),
@@ -154,14 +163,11 @@ def test_group_counts_batch_matches_scalar_chunked(tmp_path, mixed_dataset):
             ]
         ),
     ]
-    batch = backend.group_counts_batch(itemsets)
-    for i, itemset in enumerate(itemsets):
-        assert np.array_equal(batch[i], backend.group_counts(itemset))
+    _assert_batch_matches(backend, mixed_dataset, itemsets)
 
 
 def test_group_counts_batch_empty_input(mixed_dataset):
-    for name in ("mask", "bitmap"):
-        backend = make_backend(name, mixed_dataset)
+    for backend in (MaskBackend(mixed_dataset), BitmapBackend(mixed_dataset)):
         out = backend.group_counts_batch([])
         assert out.shape == (0, mixed_dataset.n_groups)
         assert out.dtype == np.int64

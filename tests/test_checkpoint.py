@@ -135,6 +135,21 @@ class TestCompatibility:
                 checkpoint_file, dataset=other
             )
 
+    def test_checkpoint_of_a_mask_config_resumes(
+        self, checkpoint_run, checkpoint_file, tmp_path
+    ):
+        """Runs checkpointed before 1.7.0 carry the then-default
+        ``counting_backend="mask"``; they resume under the one backend."""
+        dataset, _, result = checkpoint_run
+        state = load_checkpoint(checkpoint_file)
+        object.__setattr__(state.config, "counting_backend", "mask")
+        old = save_checkpoint(tmp_path / "old", state)
+        assert load_checkpoint(old).config == CONFIG
+        resumed = ContrastSetMiner(CONFIG).resume(old, dataset=dataset)
+        assert patterns_to_dicts(resumed.patterns) == patterns_to_dicts(
+            result.patterns
+        )
+
     def test_matching_config_and_dataset_accepted(
         self, checkpoint_run, checkpoint_file
     ):

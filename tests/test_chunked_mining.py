@@ -1,10 +1,10 @@
 """Out-of-core mining: parity, payload-size, streaming and CLI contracts.
 
 The acceptance bar for the chunked layer is *byte-identical* results:
-mining a :class:`ChunkedDataset` (any chunk size, both backends,
-serial or parallel) must reproduce the golden patterns AND the same
-prune accounting as mining the equivalent in-memory dataset — support
-counting is additive across row chunks, so nothing may drift.
+mining a :class:`ChunkedDataset` (any chunk size, serial or parallel)
+must reproduce the golden patterns AND the stored prune accounting of
+mining the equivalent in-memory dataset — support counting is additive
+across row chunks, so nothing may drift.
 """
 
 import json
@@ -17,10 +17,18 @@ import pytest
 from repro import ChunkedDataset, ContrastSetMiner, MinerConfig
 from repro.cli import main
 from repro.core.serialize import patterns_to_dicts
-from repro.counting import backend_from_config
-from repro.counting.chunked import ChunkedBackend
+from repro.counting import (
+    BitmapBackend,
+    ChunkedBackend,
+    CountingBackendBase,
+    MaskBackend,
+    backend_from_config,
+)
 from repro.dataset import synthetic, uci
 from repro.dataset.io import write_csv
+
+from .conftest import recount_with_reference
+from .test_golden_accounting import FIELDS, entry_id, load_fixture, record
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_patterns.json"
 
@@ -49,10 +57,33 @@ def golden():
         return json.load(handle)
 
 
-def _pack(tmp_path, name):
-    return ChunkedDataset.pack(
-        tmp_path / "store", LOADERS[name](), chunk_size=CHUNK_SIZES[name]
-    )
+@pytest.fixture(scope="module")
+def mined_store(tmp_path_factory):
+    """Mine each golden dataset's ragged-chunk store once per worker
+    count (depth 2), shared by the parity tests below."""
+    results = {}
+
+    def mine(name: str, n_jobs: int = 1):
+        if (name, n_jobs) not in results:
+            store = ChunkedDataset.pack(
+                tmp_path_factory.mktemp(name) / "store",
+                LOADERS[name](),
+                chunk_size=CHUNK_SIZES[name],
+            )
+            results[name, n_jobs] = ContrastSetMiner(
+                MinerConfig(max_tree_depth=2)
+            ).mine(store, n_jobs=n_jobs)
+        return results[name, n_jobs]
+
+    return mine
+
+
+def _patterns(result, counted_by):
+    """``bitmap``: as the packed chunked backend counted them; ``mask``:
+    recounted over the view by the unpacked reference."""
+    if counted_by == "mask":
+        return recount_with_reference(result.dataset, result.patterns)
+    return result.patterns
 
 
 # ---------------------------------------------------------------------------
@@ -60,40 +91,33 @@ def _pack(tmp_path, name):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+@pytest.mark.parametrize("counted_by", ["mask", "bitmap"])
 @pytest.mark.parametrize("name", sorted(LOADERS))
-def test_chunked_patterns_match_golden(golden, tmp_path, name, backend):
-    store = _pack(tmp_path, name)
-    config = MinerConfig(max_tree_depth=2, counting_backend=backend)
-    result = ContrastSetMiner(config).mine(store)
-    assert patterns_to_dicts(result.patterns) == golden[name], (
+def test_chunked_patterns_match_golden(golden, mined_store, name, counted_by):
+    patterns = _patterns(mined_store(name), counted_by)
+    assert patterns_to_dicts(patterns) == golden[name], (
         f"chunked mining drifted from golden output on {name} "
-        f"(backend={backend})"
+        f"(counted by {counted_by})"
     )
 
 
-@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+@pytest.mark.parametrize("counted_by", ["mask", "bitmap"])
 @pytest.mark.parametrize("name", ["simulated_dataset_2", "adult"])
-def test_chunked_parallel_matches_golden(golden, tmp_path, name, backend):
-    store = _pack(tmp_path, name)
-    config = MinerConfig(max_tree_depth=2, counting_backend=backend)
-    result = ContrastSetMiner(config).mine(store, n_jobs=2)
-    assert patterns_to_dicts(result.patterns) == golden[name]
+def test_chunked_parallel_matches_golden(golden, mined_store, name,
+                                         counted_by):
+    patterns = _patterns(mined_store(name, n_jobs=2), counted_by)
+    assert patterns_to_dicts(patterns) == golden[name]
 
 
-@pytest.mark.parametrize("name", ["simulated_dataset_1", "adult"])
-def test_chunked_prune_accounting_matches_in_memory(tmp_path, name):
-    """Not just the same patterns — the same pruning decisions, rule by
-    rule (checks, hits, and per-reason counts)."""
-    dataset = LOADERS[name]()
-    store = _pack(tmp_path, name)
-    config = MinerConfig(max_tree_depth=2)
-    dense = ContrastSetMiner(config).mine(dataset).summary()
-    chunked = ContrastSetMiner(config).mine(store).summary()
-    assert chunked.prune_rule_checks == dense.prune_rule_checks
-    assert chunked.prune_rule_hits == dense.prune_rule_hits
-    assert chunked.prune_reasons == dense.prune_reasons
-    assert chunked.n_patterns == dense.n_patterns
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_chunked_prune_accounting_matches_in_memory(mined_store, name):
+    """Not just the same patterns — the stored in-memory accounting,
+    every field: per-rule checks and hits, prune reasons, partitions
+    evaluated, candidates, SDAD-CS calls, merges and counting calls."""
+    expected = load_fixture()[entry_id(name, "bitmap", 1, 2)]
+    recorded = record(mined_store(name))
+    assert set(FIELDS) < set(recorded)
+    assert recorded == expected
 
 
 def test_parity_across_chunk_sizes(tmp_path):
@@ -130,21 +154,32 @@ def test_mining_a_view_after_append_uses_its_snapshot(tmp_path):
 
 
 def test_backend_from_config_dispatch(tmp_path, mixed_dataset):
+    """One backend class; a view only swaps in its chunk source."""
     store = ChunkedDataset.pack(tmp_path / "s", mixed_dataset,
                                 chunk_size=200)
     view = store.view()
     backend = backend_from_config(MinerConfig(), view)
     assert isinstance(backend, ChunkedBackend)
-    assert backend.name == "chunked+mask"
-    assert backend_from_config(
-        MinerConfig(counting_backend="bitmap"), view
-    ).name == "chunked+bitmap"
-    # dense datasets keep their ordinary backends
-    assert backend_from_config(MinerConfig(), mixed_dataset).name == "mask"
+    assert isinstance(backend, BitmapBackend)
+    assert backend.name == "chunked"
+    dense = backend_from_config(MinerConfig(), mixed_dataset)
+    assert type(dense) is BitmapBackend
+    assert dense.name == "bitmap"
+
+
+def test_chunked_backend_defines_no_counting(tmp_path, mixed_dataset):
+    """The counting algorithm is written once: the chunked backend only
+    supplies chunks, and only the packed backend and the unpacked test
+    reference implement the three counting operations."""
+    for attr in ("cover_of", "group_counts_batch", "cover_group_counts"):
+        assert attr not in ChunkedBackend.__dict__
+        assert attr not in CountingBackendBase.__dict__
+        assert attr in BitmapBackend.__dict__
+        assert attr in MaskBackend.__dict__
 
 
 def test_backend_cache_size_flows_to_backends(tmp_path, mixed_dataset):
-    config = MinerConfig(counting_backend="bitmap", backend_cache_size=17)
+    config = MinerConfig(backend_cache_size=17)
     dense = backend_from_config(config, mixed_dataset)
     assert dense.cache_size == 17
     store = ChunkedDataset.pack(tmp_path / "s", mixed_dataset,
@@ -155,54 +190,63 @@ def test_backend_cache_size_flows_to_backends(tmp_path, mixed_dataset):
 
 def test_backend_cache_size_validation():
     with pytest.raises(ValueError, match="backend_cache_size"):
-        MinerConfig(backend_cache_size=0, counting_backend="bitmap")
-    with pytest.raises(ValueError, match="mask backend keeps no cache"):
-        MinerConfig(backend_cache_size=8)
+        MinerConfig(backend_cache_size=0)
+    # the cache belongs to the one backend: no other setting is needed
+    assert MinerConfig(backend_cache_size=8).backend_cache_size == 8
 
 
 def test_counts_cache_is_digest_keyed(tmp_path, categorical_dataset):
-    """Cache keys are (chunk content digest, itemset): content-addressed,
-    so identical chunks share keys across stores and appended chunks can
-    never collide with (or invalidate) existing entries."""
+    """Context-cache keys are (chunk content digest, itemset):
+    content-addressed, so identical chunks share keys across stores and
+    appended chunks can never collide with (or invalidate) existing
+    entries."""
     from repro.core.items import CategoricalItem, Itemset
 
     a = ChunkedDataset.pack(tmp_path / "a", categorical_dataset,
                             chunk_size=300)
     b = ChunkedDataset.pack(tmp_path / "b", categorical_dataset,
                             chunk_size=300)
-    itemset = Itemset([CategoricalItem("tool", "T1")])
+    itemset = Itemset(
+        [CategoricalItem("shift", "day"), CategoricalItem("tool", "T1")]
+    )
     backend_a = ChunkedBackend(a.view())
     backend_b = ChunkedBackend(b.view())
-    counts = backend_a.group_counts(itemset)
-    assert np.array_equal(counts, backend_b.group_counts(itemset))
-    assert set(backend_a._counts_cache) == set(backend_b._counts_cache)
+    counts = backend_a.group_counts_batch([itemset])
+    assert np.array_equal(counts, backend_b.group_counts_batch([itemset]))
+    assert set(backend_a._cache) == set(backend_b._cache)
+    assert len(backend_a._cache) == a.n_chunks
     # second pass over the same view: every chunk is a cache hit
     before = backend_a.cache_hits
-    backend_a.group_counts(itemset)
+    backend_a.group_counts_batch([itemset])
     assert backend_a.cache_hits == before + a.n_chunks
 
 
 def test_chunked_backend_counts_match_dense(tmp_path, categorical_dataset):
+    from repro.core.cover import Cover
     from repro.core.items import CategoricalItem, Itemset
-    from repro.counting import make_backend
 
     store = ChunkedDataset.pack(tmp_path / "s", categorical_dataset,
                                 chunk_size=137)
-    dense = make_backend("mask", categorical_dataset)
-    for inner in ("mask", "bitmap"):
-        backend = ChunkedBackend(store.view(), inner=inner)
-        for tool in ("T1", "T2"):
-            itemset = Itemset([CategoricalItem("tool", tool)])
-            assert np.array_equal(
-                backend.group_counts(itemset), dense.group_counts(itemset)
-            )
-            assert np.array_equal(
-                backend.cover(itemset), dense.cover(itemset)
-            )
-        mask = np.asarray(categorical_dataset.group_codes) == 0
+    view = store.view()
+    backend = ChunkedBackend(view)
+    dense = MaskBackend(categorical_dataset)
+    itemsets = [
+        Itemset([CategoricalItem("tool", tool)]) for tool in ("T1", "T2")
+    ]
+    assert np.array_equal(
+        backend.group_counts_batch(itemsets),
+        dense.group_counts_batch(itemsets),
+    )
+    for itemset in itemsets:
         assert np.array_equal(
-            backend.mask_group_counts(mask), dense.mask_group_counts(mask)
+            backend.cover_of(itemset).to_dense(),
+            dense.cover_of(itemset).to_dense(),
         )
+    mask = np.asarray(categorical_dataset.group_codes) == 0
+    assert np.array_equal(
+        backend.cover_group_counts(Cover.from_dense(mask, view.chunk_sizes)),
+        dense.cover_group_counts(Cover.from_dense(mask)),
+    )
 
 
 def test_chunked_backend_rejects_dense_dataset(mixed_dataset):
@@ -346,7 +390,7 @@ class TestDatasetCli:
         assert "600 rows in 4 chunks" in out
         assert "all digests match" in out
         assert main(["mine", store, "--depth", "2", "--top", "3"]) == 0
-        assert "chunked+mask backend" in capsys.readouterr().out
+        assert "chunked backend" in capsys.readouterr().out
 
     def test_verify_clean_store(self, tmp_path, csv_path, capsys):
         store = str(tmp_path / "store")
@@ -425,16 +469,18 @@ class TestDatasetCli:
 
     def test_cache_size_flag_validation(self, csv_path, capsys):
         assert main(["mine", csv_path, "--group", "group",
-                     "--cache-size", "64"]) == 2
-        assert "bitmap" in capsys.readouterr().err
-        assert main(["mine", csv_path, "--group", "group",
-                     "--backend", "bitmap", "--cache-size", "0"]) == 2
+                     "--cache-size", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
     def test_cache_size_flag_accepted(self, csv_path, capsys):
         assert main(["mine", csv_path, "--group", "group",
-                     "--backend", "bitmap", "--cache-size", "128",
-                     "--depth", "1"]) == 0
+                     "--cache-size", "128", "--depth", "1"]) == 0
+
+    def test_backend_flag_is_gone(self, csv_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["mine", csv_path, "--group", "group",
+                  "--backend", "bitmap"])
+        assert "--backend" in capsys.readouterr().err
 
     def test_info_on_store_dir(self, tmp_path, csv_path, capsys):
         store = str(tmp_path / "store")

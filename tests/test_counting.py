@@ -1,8 +1,13 @@
-"""Parity and behaviour tests for the pluggable counting backends.
+"""Packed counting against the unpacked reference.
 
-The bitmap backend must be byte-identical to the mask backend: same
-pattern sets, same contingency counts, same interest values — on every
-dataset shape the miner supports, including missing values.
+Every counting operation of the one backend — :class:`BitmapBackend`
+over an in-memory dataset (one chunk) and :class:`ChunkedBackend` over a
+chunked store — must equal :class:`MaskBackend`, which computes the same
+operations with ``Itemset.cover`` boolean masks and
+``Dataset.group_counts``.  End to end, a search whose every count comes
+from the reference must find the same patterns, interests and count
+calls as the miner, on every dataset shape it supports, including
+missing values.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import pytest
 from repro import (
     Attribute,
     CategoricalItem,
+    ChunkedDataset,
     ContrastSetMiner,
     Dataset,
     Interval,
@@ -21,15 +27,16 @@ from repro import (
     NumericItem,
     Schema,
 )
+from repro.core.cover import Cover
+from repro.core.instrumentation import MiningStats
 from repro.counting import (
     BackendCounters,
     BitmapBackend,
+    ChunkedBackend,
     CountingBackend,
     MaskBackend,
-    available_backends,
-    make_backend,
+    backend_from_config,
 )
-from repro.core.instrumentation import MiningStats
 from repro.dataset.synthetic import (
     simulated_dataset_1,
     simulated_dataset_2,
@@ -39,120 +46,173 @@ from repro.dataset.synthetic import (
 from repro.dataset.table import DatasetError
 from repro.dataset.uci import adult
 
+from .conftest import mine_with_reference
+
 
 def _mine_both(dataset, config=None, **mine_kwargs):
-    """Mine with both backends, returning the two MiningResults."""
+    """``(reference, packed)``: the serial search counted by the unpacked
+    reference, and the miner; each as ``(fingerprint, interests, stats)``."""
     config = config or MinerConfig(max_tree_depth=2, k=50)
-    results = {}
-    for name in ("mask", "bitmap"):
-        cfg = config.with_(counting_backend=name)
-        results[name] = ContrastSetMiner(cfg).mine(dataset, **mine_kwargs)
-    return results["mask"], results["bitmap"]
+    patterns, interests, stats = mine_with_reference(
+        dataset, config, **mine_kwargs
+    )
+    packed = ContrastSetMiner(config).mine(dataset, **mine_kwargs)
+    return (
+        (_fingerprint(patterns), interests, stats),
+        (_fingerprint(packed.patterns), packed.interests, packed.stats),
+    )
 
 
-def _fingerprint(result):
-    return [(p.itemset, p.counts) for p in result.patterns]
+def _fingerprint(patterns):
+    return [(p.itemset, p.counts) for p in patterns]
+
+
+def _packed(dataset, tmp_path, chunk_size=97):
+    """The packed backend over the dataset as one chunk, and over a
+    ragged-chunk store of the same rows."""
+    store = ChunkedDataset.pack(tmp_path / "store", dataset,
+                                chunk_size=chunk_size)
+    return [BitmapBackend(dataset), ChunkedBackend(store.view())]
+
+
+def _itemsets(dataset):
+    """Empty, single-item, two-item categorical and mixed itemsets."""
+    cat = [
+        CategoricalItem(name, label)
+        for name in dataset.schema.categorical_names
+        for label in dataset.attribute(name).categories
+    ]
+    num = [
+        NumericItem(name, Interval(0.0, 0.5, True, True))
+        for name in dataset.schema.continuous_names
+    ]
+    pairs = [
+        Itemset([a, b]) for a in cat for b in cat + num
+        if a.attribute != b.attribute
+    ]
+    return [Itemset()] + [Itemset([i]) for i in cat + num] + pairs
 
 
 class TestRegistry:
-    def test_available_backends(self):
-        assert set(available_backends()) == {"mask", "bitmap"}
+    """Which backend a dataset gets, and what the config accepts."""
 
-    def test_make_backend(self, mixed_dataset):
-        assert isinstance(make_backend("mask", mixed_dataset), MaskBackend)
-        assert isinstance(
-            make_backend("bitmap", mixed_dataset), BitmapBackend
-        )
-
-    def test_backends_satisfy_protocol(self, mixed_dataset):
-        for name in available_backends():
-            assert isinstance(
-                make_backend(name, mixed_dataset), CountingBackend
-            )
-
-    def test_unknown_backend_rejected(self, mixed_dataset):
-        with pytest.raises(ValueError, match="unknown counting backend"):
-            make_backend("roaring", mixed_dataset)
+    def test_backends_satisfy_protocol(self, mixed_dataset, tmp_path):
+        reference = MaskBackend(mixed_dataset)
+        for backend in _packed(mixed_dataset, tmp_path) + [reference]:
+            assert isinstance(backend, CountingBackend)
 
     def test_config_validates_backend(self):
+        with pytest.raises(ValueError, match="'mask' was removed"):
+            MinerConfig(counting_backend="mask")
+
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="counting_backend"):
             MinerConfig(counting_backend="roaring")
 
+    def test_one_backend_whatever_the_config(self, mixed_dataset):
+        config = MinerConfig(backend_cache_size=3)
+        backend = backend_from_config(config, mixed_dataset)
+        assert type(backend) is BitmapBackend
+        assert backend.cache_size == 3
+
 
 class TestBackendUnits:
-    """Direct unit parity of the two backends' counting primitives."""
+    """Each packed operation equals the unpacked reference."""
 
-    @pytest.fixture
-    def backends(self, mixed_dataset):
-        return MaskBackend(mixed_dataset), BitmapBackend(mixed_dataset)
+    def test_empty_itemset_counts_everything(self, mixed_dataset,
+                                             tmp_path):
+        expected = [mixed_dataset.group_sizes]
+        for backend in _packed(mixed_dataset, tmp_path):
+            counts = backend.group_counts_batch([Itemset()])
+            assert [tuple(counts[0])] == expected
+            full = backend.full_cover()
+            assert tuple(backend.cover_group_counts(full)) == expected[0]
 
-    def test_empty_itemset_counts_everything(self, backends):
-        mask_be, bitmap_be = backends
-        empty = Itemset()
-        expected = mask_be.dataset.group_sizes
-        assert tuple(mask_be.group_counts(empty)) == expected
-        assert tuple(bitmap_be.group_counts(empty)) == expected
-
-    def test_categorical_itemset_parity(self, backends):
-        mask_be, bitmap_be = backends
-        for value in ("red", "green", "blue"):
-            itemset = Itemset([CategoricalItem("color", value)])
+    def test_categorical_itemset_parity(self, categorical_dataset,
+                                        tmp_path):
+        reference = MaskBackend(categorical_dataset)
+        itemsets = [
+            s for s in _itemsets(categorical_dataset)
+            if all(isinstance(i, CategoricalItem) for i in s)
+        ]
+        expected = reference.group_counts_batch(itemsets)
+        for backend in _packed(categorical_dataset, tmp_path):
             np.testing.assert_array_equal(
-                mask_be.group_counts(itemset),
-                bitmap_be.group_counts(itemset),
+                backend.group_counts_batch(itemsets), expected
             )
+            for itemset in itemsets:
+                np.testing.assert_array_equal(
+                    backend.cover_of(itemset).to_dense(),
+                    reference.cover_of(itemset).to_dense(),
+                )
+
+    def test_mixed_itemset_parity(self, mixed_dataset, tmp_path):
+        reference = MaskBackend(mixed_dataset)
+        itemsets = _itemsets(mixed_dataset)
+        assert any(
+            any(isinstance(i, NumericItem) for i in s) for s in itemsets
+        )
+        expected = reference.group_counts_batch(itemsets)
+        for backend in _packed(mixed_dataset, tmp_path):
             np.testing.assert_array_equal(
-                mask_be.cover(itemset), bitmap_be.cover(itemset)
+                backend.group_counts_batch(itemsets), expected
+            )
+            for itemset in itemsets:
+                cover = backend.cover_of(itemset)
+                assert cover.chunk_sizes == backend.dataset.chunk_sizes
+                np.testing.assert_array_equal(
+                    cover.to_dense(), itemset.cover(mixed_dataset)
+                )
+                np.testing.assert_array_equal(
+                    backend.cover_group_counts(cover),
+                    reference.cover_group_counts(
+                        reference.cover_of(itemset)
+                    ),
+                )
+
+    def test_mask_group_counts_parity(self, mixed_dataset, tmp_path, rng):
+        """Counts inside an arbitrary row mask, packed along each
+        backend's chunks."""
+        mask = rng.random(mixed_dataset.n_rows) < 0.3
+        expected = mixed_dataset.group_counts(mask)
+        for backend in _packed(mixed_dataset, tmp_path):
+            cover = Cover.from_dense(mask, backend.dataset.chunk_sizes)
+            np.testing.assert_array_equal(
+                backend.cover_group_counts(cover), expected
             )
 
-    def test_mixed_itemset_parity(self, backends):
-        mask_be, bitmap_be = backends
-        itemset = Itemset(
-            [
-                CategoricalItem("color", "red"),
-                NumericItem("x", Interval(0.0, 0.5, True, True)),
-            ]
-        )
-        np.testing.assert_array_equal(
-            mask_be.group_counts(itemset), bitmap_be.group_counts(itemset)
-        )
-        np.testing.assert_array_equal(
-            mask_be.cover(itemset), bitmap_be.cover(itemset)
-        )
+    def test_bitmap_rejects_non_boolean_mask(self, mixed_dataset):
+        with pytest.raises(ValueError, match="boolean"):
+            Cover.from_dense(np.ones(mixed_dataset.n_rows, dtype=np.int64))
 
-    def test_mask_group_counts_parity(self, backends, rng):
-        mask_be, bitmap_be = backends
-        mask = rng.random(mask_be.dataset.n_rows) < 0.3
-        np.testing.assert_array_equal(
-            mask_be.mask_group_counts(mask),
-            bitmap_be.mask_group_counts(mask),
-        )
-
-    def test_bitmap_rejects_non_boolean_mask(self, backends):
-        _, bitmap_be = backends
-        with pytest.raises(DatasetError, match="boolean"):
-            bitmap_be.mask_group_counts(
-                np.ones(bitmap_be.dataset.n_rows, dtype=np.int64)
-            )
+    def test_rejects_a_cover_over_other_chunks(self, mixed_dataset,
+                                               tmp_path):
+        for backend in _packed(mixed_dataset, tmp_path, chunk_size=400):
+            wrong = Cover.full((100, mixed_dataset.n_rows - 100))
+            with pytest.raises(DatasetError, match="chunks"):
+                backend.cover_group_counts(wrong)
 
 
 class TestCounters:
     def test_count_calls_recorded(self, categorical_dataset):
         backend = BitmapBackend(categorical_dataset)
         itemset = Itemset([CategoricalItem("tool", "T1")])
-        backend.group_counts(itemset)
-        backend.group_counts(itemset)
-        assert backend.counters().count_calls == 2
+        backend.group_counts_batch([itemset, itemset])
+        backend.cover_group_counts(backend.cover_of(itemset))
+        counters = backend.counters()
+        assert counters.count_calls == 3
+        assert counters.batch_calls == 1
+        assert counters.batched_candidates == 2
 
     def test_publish_is_delta_based(self, categorical_dataset):
         """Publishing twice must not double-count the first batch."""
         backend = BitmapBackend(categorical_dataset)
         itemset = Itemset([CategoricalItem("tool", "T1")])
         stats = MiningStats()
-        backend.group_counts(itemset)
+        backend.group_counts_batch([itemset])
         backend.publish(stats)
         assert stats.count_calls == 1
-        backend.group_counts(itemset)
+        backend.group_counts_batch([itemset])
         backend.publish(stats)
         assert stats.count_calls == 2
         assert stats.counting_backend == "bitmap"
@@ -162,6 +222,15 @@ class TestCounters:
         b = BackendCounters(3, 1, 2)
         assert (a - b) == BackendCounters(7, 3, 4)
         assert (a + b) == BackendCounters(13, 5, 8)
+
+    def test_mixed_candidates_are_tallied(self, mixed_dataset):
+        backend = BitmapBackend(mixed_dataset)
+        backend.group_counts_batch(_itemsets(mixed_dataset))
+        numeric = [
+            s for s in _itemsets(mixed_dataset)
+            if any(isinstance(i, NumericItem) for i in s)
+        ]
+        assert backend.counters().batch_fallbacks == len(numeric)
 
 
 class TestLRUCache:
@@ -173,9 +242,9 @@ class TestLRUCache:
                 CategoricalItem("shift", "day"),
             ]
         )
-        backend.group_counts(base)
+        backend.group_counts_batch([base])
         assert backend.counters().cache_misses == 1
-        backend.group_counts(base)
+        backend.group_counts_batch([base])
         assert backend.counters().cache_hits == 1
 
     def test_tiny_cache_evicts_but_stays_correct(self, categorical_dataset):
@@ -193,10 +262,24 @@ class TestLRUCache:
         ]
         for itemset in itemsets * 2:
             np.testing.assert_array_equal(
-                small.group_counts(itemset),
-                reference.group_counts(itemset),
+                small.group_counts_batch([itemset]),
+                reference.group_counts_batch([itemset]),
             )
         assert small.cache_info()["entries"] <= 1
+
+    def test_entries_are_per_chunk(self, categorical_dataset, tmp_path):
+        """One entry per (chunk, context): the cache bound is entries x
+        chunk bytes."""
+        store = ChunkedDataset.pack(tmp_path / "s", categorical_dataset,
+                                    chunk_size=300)
+        backend = ChunkedBackend(store.view(), cache_size=2)
+        itemset = Itemset(
+            [CategoricalItem("tool", "T1"), CategoricalItem("shift", "day")]
+        )
+        backend.group_counts_batch([itemset])
+        assert store.n_chunks == 3
+        assert backend.cache_info()["entries"] == 2
+        assert backend.counters().cache_misses == 3
 
 
 @pytest.mark.parametrize(
@@ -210,17 +293,17 @@ class TestLRUCache:
 )
 def test_end_to_end_parity_simulated(factory):
     dataset = factory(n=800)
-    mask_res, bitmap_res = _mine_both(dataset)
-    assert _fingerprint(mask_res) == _fingerprint(bitmap_res)
-    assert mask_res.interests == bitmap_res.interests
+    reference, packed = _mine_both(dataset)
+    assert reference[0] == packed[0]
+    assert reference[1] == packed[1]
 
 
 def test_end_to_end_parity_adult_sample():
     dataset = adult(scale=0.05)
-    mask_res, bitmap_res = _mine_both(
+    reference, packed = _mine_both(
         dataset, MinerConfig(max_tree_depth=2, k=100)
     )
-    assert _fingerprint(mask_res) == _fingerprint(bitmap_res)
+    assert reference[0] == packed[0]
 
 
 def test_end_to_end_parity_categorical_only_adult():
@@ -229,18 +312,18 @@ def test_end_to_end_parity_categorical_only_adult():
         n for n in dataset.schema.names
         if dataset.attribute(n).is_categorical
     ]
-    mask_res, bitmap_res = _mine_both(
+    reference, packed = _mine_both(
         dataset,
         MinerConfig(max_tree_depth=3, k=100),
         attributes=categorical,
     )
-    assert _fingerprint(mask_res) == _fingerprint(bitmap_res)
+    assert reference[0] == packed[0]
     # depth 3 over shared depth-2 prefixes must exercise the LRU cache
-    assert bitmap_res.stats.cache_hits > 0
+    assert packed[2].cache_hits > 0
 
 
 def test_end_to_end_parity_with_missing_values(rng):
-    """NaN continuous cells cover no interval on either backend."""
+    """NaN continuous cells cover no interval, packed or not."""
     n = 500
     group = rng.integers(0, 2, n)
     x = np.where(
@@ -258,21 +341,21 @@ def test_end_to_end_parity_with_missing_values(rng):
         schema, {"x": x, "color": color}, group, ["A", "B"]
     )
     assert dataset.has_missing
-    mask_res, bitmap_res = _mine_both(dataset)
-    assert _fingerprint(mask_res) == _fingerprint(bitmap_res)
-    assert mask_res.patterns  # the planted contrast must survive
+    reference, packed = _mine_both(dataset)
+    assert reference[0] == packed[0]
+    assert packed[0]  # the planted contrast must survive
 
 
 def test_parity_survives_group_selection():
     dataset = adult(scale=0.05)
     labels = dataset.group_labels[:2]
-    mask_res, bitmap_res = _mine_both(dataset, groups=labels)
-    assert _fingerprint(mask_res) == _fingerprint(bitmap_res)
+    reference, packed = _mine_both(dataset, groups=labels)
+    assert reference[0] == packed[0]
 
 
 def test_count_call_totals_agree(categorical_dataset):
     """Both backends answer the identical sequence of count queries."""
-    mask_res, bitmap_res = _mine_both(categorical_dataset)
-    assert mask_res.stats.count_calls == bitmap_res.stats.count_calls
-    assert mask_res.stats.counting_backend == "mask"
-    assert bitmap_res.stats.counting_backend == "bitmap"
+    reference, packed = _mine_both(categorical_dataset)
+    assert reference[2].count_calls == packed[2].count_calls
+    assert reference[2].counting_backend == "mask"
+    assert packed[2].counting_backend == "bitmap"

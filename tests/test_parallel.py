@@ -8,6 +8,7 @@ from repro.core.items import Itemset
 from repro.dataset.manufacturing import scaling_dataset
 from repro.parallel import mine_level_tasks, parallel_search
 
+from .conftest import recount_with_reference
 from .test_golden_accounting import entry_id, load_fixture
 
 
@@ -53,17 +54,14 @@ class TestUnifiedMine:
         assert result.stats.count_calls > 0
 
     def test_bitmap_backend_through_workers(self, small_trace):
-        config = MinerConfig(
-            k=10, max_tree_depth=2, counting_backend="bitmap"
-        )
-        mask = ContrastSetMiner(
-            config.with_(counting_backend="mask")
-        ).mine(small_trace, n_jobs=2)
-        bitmap = ContrastSetMiner(config).mine(small_trace, n_jobs=2)
-        assert [(p.itemset, p.counts) for p in mask.patterns] == [
-            (p.itemset, p.counts) for p in bitmap.patterns
-        ]
-        assert bitmap.stats.counting_backend == "bitmap"
+        """Counts made in the workers equal the unpacked reference's."""
+        config = MinerConfig(k=10, max_tree_depth=2)
+        result = ContrastSetMiner(config).mine(small_trace, n_jobs=2)
+        assert result.patterns
+        assert recount_with_reference(
+            small_trace, result.patterns
+        ) == result.patterns
+        assert result.stats.counting_backend == "bitmap"
 
     def test_attribute_restriction(self, small_trace):
         names = small_trace.schema.names[:4]
@@ -82,7 +80,7 @@ class TestUnifiedMine:
         assert summary.n_patterns == len(result)
         assert summary.n_rows == small_trace.n_rows
         assert summary.n_workers == 2
-        assert summary.counting_backend == "mask"
+        assert summary.counting_backend == "bitmap"
 
 
 class TestPruneParity:
@@ -97,10 +95,9 @@ class TestPruneParity:
     def test_reason_counts_match_serial(self, dataset_number):
         golden = load_fixture()
         name = f"simulated_dataset_{dataset_number}"
-        for backend in ("mask", "bitmap"):
-            serial = golden[entry_id(name, backend, 1, 2)]
-            parallel = golden[entry_id(name, backend, 2, 2)]
-            assert serial == parallel, backend
+        serial = golden[entry_id(name, "bitmap", 1, 2)]
+        parallel = golden[entry_id(name, "bitmap", 2, 2)]
+        assert serial == parallel
 
 
 class TestRemovedShims:

@@ -18,6 +18,8 @@ from repro.core.partition import (
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Dataset
 
+from .conftest import mine_with_reference
+
 
 def _dataset(x=None, y=None, groups=None):
     x = np.asarray(x if x is not None else np.linspace(0, 1, 8))
@@ -410,6 +412,40 @@ class TestStreamingMedian:
                 part._STREAM_GATHER_FALLBACK = old
         assert _bits(got) == _bits(0.0)
 
+    @pytest.mark.parametrize(
+        "path", ["gather", "gather-mean", "stream", "stream-narrowed"]
+    )
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            [[-np.inf, np.inf, -np.inf, np.inf]],
+            [[-np.inf, np.inf], [np.inf, -np.inf]],
+            [[np.inf], [-np.inf]],
+        ],
+    )
+    def test_infinite_middles_split_at_the_lower_middle(self, path, chunks):
+        """Middles ``-inf`` and ``+inf`` have a NaN mean; the split is
+        the lower middle, ``-inf``, on every path."""
+        from repro.core import partition as part
+        from repro.core.cover import Cover
+
+        fake = _FakeChunkedColumn(chunks)
+        cover = Cover.full(tuple(len(c) for c in chunks))
+        with np.errstate(all="raise"):
+            if path.startswith("gather"):
+                statistic = "mean" if path == "gather-mean" else "median"
+                got = part._gathered_split(fake, cover, "x", statistic)
+            elif path == "stream":
+                got = part._streaming_median_split(fake, cover, "x")
+            else:
+                old = part._STREAM_GATHER_FALLBACK
+                part._STREAM_GATHER_FALLBACK = 1
+                try:
+                    got = part._streaming_median_split(fake, cover, "x")
+                finally:
+                    part._STREAM_GATHER_FALLBACK = old
+        assert got == -np.inf
+
     def test_partition_median_streams_large_spaces(self, monkeypatch):
         """Above the gather budget, partition_median takes the streaming
         path and still produces the dense split point exactly."""
@@ -526,7 +562,8 @@ def test_one_compare_halves_equal_interval_covers(
     """During a real depth-3 recursion, ``column <= cut`` and ``column >
     cut`` ANDed with the parent cover equal the two-sided
     ``Interval.cover`` halves ANDed with the parent, and so do the
-    children ``find_combinations`` builds from them."""
+    children ``find_combinations`` builds from them — with the packed
+    backend counting, and with the unpacked reference counting."""
     from repro.core import sdad as sdad_module
     from repro.core.config import MinerConfig
     from repro.core.miner import ContrastSetMiner
@@ -557,11 +594,38 @@ def test_one_compare_halves_equal_interval_covers(
         return children
 
     monkeypatch.setattr(sdad_module, "find_combinations", checking)
-    result = ContrastSetMiner(
-        MinerConfig(max_tree_depth=3, counting_backend=backend)
-    ).mine(mixed_dataset)
-    assert result.patterns
+    config = MinerConfig(max_tree_depth=3)
+    if backend == "mask":
+        patterns = mine_with_reference(mixed_dataset, config)[0]
+    else:
+        patterns = ContrastSetMiner(config).mine(mixed_dataset).patterns
+    assert patterns
     assert len(checked) > 10 and max(checked) == 2
+
+
+@pytest.mark.parametrize("statistic", ["median", "mean"])
+def test_mining_a_column_of_both_infinities_completes(statistic):
+    """A column alternating ``-inf`` and ``+inf`` splits into its two
+    values instead of aborting on a NaN interval endpoint."""
+    from repro.core.config import MinerConfig
+    from repro.core.miner import ContrastSetMiner
+
+    x = np.tile([-np.inf, np.inf], 100)
+    groups = (x > 0).astype(np.int64)
+    groups[::10] = 1  # 20 of the 100 -inf rows move to group 1
+    result = ContrastSetMiner(
+        MinerConfig(max_tree_depth=1, split_statistic=statistic)
+    ).mine(_dataset(x=x, y=np.zeros(200), groups=groups))
+    counts = {
+        (p.itemset.items[0].interval.lo, p.itemset.items[0].interval.hi):
+        p.counts
+        for p in result.patterns
+    }
+    assert counts[(-np.inf, -np.inf)] == (80, 20)
+    assert counts[(-np.inf, np.inf)] == (0, 100)
+    assert sorted(str(p.itemset) for p in result.patterns) == [
+        "-inf < x <= inf", "-inf <= x <= -inf"
+    ]
 
 
 def test_find_combinations_rejects_a_split_that_is_not_a_median_cut():

@@ -132,6 +132,16 @@ class TestStoredConfig:
         assert run.config["batch_evaluation"] is True
         assert run.miner_config() == result.config
 
+    def test_retired_mask_backend_loads_as_the_one_backend(self, store,
+                                                           result):
+        # "mask" was the default counting_backend up to 1.6.0, so almost
+        # every stored run carries it
+        run = self._with_config_key(store, result, "counting_backend",
+                                    "mask")
+        assert run.config["counting_backend"] == "mask"
+        assert run.miner_config().counting_backend == "bitmap"
+        assert run.miner_config() == result.config
+
     def test_unknown_config_key_raises_store_error(self, store, result):
         run = self._with_config_key(store, result, "warp_factor", 9)
         with pytest.raises(StoreError, match="warp_factor"):
